@@ -41,7 +41,8 @@ int main() {
       if (i == 0) {
         first_best = res.best;
         for (const auto b : res.multi.set_bits()) {
-          multi += (multi.empty() ? "" : ",") + std::to_string(b);
+          if (!multi.empty()) multi += ',';
+          multi += std::to_string(b);
         }
       } else if (res.best != first_best) {
         agree = false;

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# CI-style gate: tier-1 build + tests in four configurations.
+# CI-style gate: tier-1 build + tests in five configurations.
 #   1. plain           — the default RelWithDebInfo build, full ctest
-#   2. scalar          — RFIPC_DISABLE_SIMD=ON, full ctest, so the
+#   2. release         — CMAKE_BUILD_TYPE=Release (-O3, -Werror stays
+#      on), full ctest, so the hot paths build and pass at -O3
+#   3. scalar          — RFIPC_DISABLE_SIMD=ON, full ctest, so the
 #      portable fallback data plane stays green alongside the AVX2 one
-#   3. address,undefined — ASan+UBSan build, full ctest (includes the
+#   4. address,undefined — ASan+UBSan build, full ctest (includes the
 #      persist journal/recovery and resilient-client suites)
-#   4. thread          — TSan build, concurrency-sensitive tests only
+#   5. thread          — TSan build, concurrency-sensitive tests only
 #      (thread pool, SPSC ring + shard workers, RCU, sharded runtime,
 #      concurrent update stress, fault containment, flow-cache
 #      coherence, the wire codec, the classification service E2E, the
@@ -30,6 +32,10 @@ run() {
 CMAKE_ARGS=()
 CTEST_ARGS=()
 run build ""
+
+CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release)
+CTEST_ARGS=()
+run build-release ""
 
 CMAKE_ARGS=(-DRFIPC_DISABLE_SIMD=ON)
 CTEST_ARGS=()

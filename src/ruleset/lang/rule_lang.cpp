@@ -105,8 +105,15 @@ class Parser {
   }
 
   static std::string describe(const Token& t) {
-    if (t.is(Token::Kind::kAtom)) return "'" + std::string(t.text) + "'";
-    return std::string(token_kind_name(t.kind));
+    if (!t.is(Token::Kind::kAtom)) return std::string(token_kind_name(t.kind));
+    // Appended piecewise: operator+ on a literal and a temporary trips
+    // GCC's -Werror=restrict false positive at -O3 (GCC bug 105329).
+    std::string quoted;
+    quoted.reserve(t.text.size() + 2);
+    quoted += '\'';
+    quoted += t.text;
+    quoted += '\'';
+    return quoted;
   }
 
   const Token& expect_atom(const std::string& what) {

@@ -162,7 +162,9 @@ MatchResult ShardedClassifier::classify(const net::HeaderBits& header) const {
   std::uint64_t epoch = 0;
   if (cache_ != nullptr) {
     epoch = cache_->epoch();  // captured before the slow-path snapshot pin
-    if (cache_->lookup(header, out)) {
+    // The slow path below always fills multi, so a best-only entry is a miss.
+    std::vector<std::size_t> miss;
+    if (cache_->lookup_batch({&header, 1}, {&out, 1}, true, miss) == 1) {
       stats_.record_batch(1, out.has_match() ? 1 : 0);
       return out;
     }
@@ -386,20 +388,13 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
     // Flow-cache front end: answer hits in place, compact the misses
     // into a contiguous sub-batch, and fan only that out to the shards.
     const std::uint64_t epoch = cache_->epoch();
-    const bool multi_capable = supports_multi_match();
     engines::ScratchArena& arena = scratch->arena;
+    // A hit cached by a best-only caller has no multi vector; a
+    // multi-wanting caller misses on it (and refreshes it).
+    cache_->lookup_batch(headers, results, opts.want_multi && supports_multi_match(),
+                         arena.indices);
     arena.headers.clear();
-    arena.indices.clear();
-    for (std::size_t i = 0; i < headers.size(); ++i) {
-      // A hit cached by a best-only caller has no multi vector; a
-      // multi-wanting caller must treat it as a miss (and refresh it).
-      if (cache_->lookup(headers[i], results[i]) &&
-          !(opts.want_multi && multi_capable && results[i].multi.empty())) {
-        continue;
-      }
-      arena.indices.push_back(i);
-      arena.headers.push_back(headers[i]);
-    }
+    for (const std::size_t i : arena.indices) arena.headers.push_back(headers[i]);
     if (!arena.headers.empty()) {
       auto snap = snapshot_.read();
       std::vector<MatchResult>& miss = scratch->miss;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,14 +113,14 @@ TEST(PcapReplaySource, FlowsAreRingStable) {
   cfg.rings = 4;
   capture::PcapReplaySource src(file, cfg);
 
-  std::map<std::vector<std::uint8_t>, std::set<std::size_t>> flow_rings;
+  std::map<std::string, std::set<std::size_t>> flow_rings;
   std::vector<capture::FrameView> views(16);
   for (std::size_t r = 0; r < 4; ++r) {
     std::size_t n;
     while ((n = src.next_batch(r, views)) > 0) {
       for (std::size_t i = 0; i < n; ++i) {
         const auto b = views[i].bytes();
-        flow_rings[std::vector<std::uint8_t>(b.begin(), b.end())].insert(r);
+        flow_rings[std::string(b.begin(), b.end())].insert(r);
       }
     }
   }

@@ -1,12 +1,14 @@
 // Flow-cache correctness: unit behavior of flow::FlowCache (epoch
-// invalidation, straggler rejection, LRU eviction) plus the coherence
-// property the runtime wiring must uphold — a cached decision NEVER
-// survives a rule insert/erase once the update's completion is
-// reported. The concurrent section hammers a cached ShardedClassifier
-// from reader threads while a writer streams updates (run under TSan
-// via scripts/check.sh tsan); every observed result must be consistent
-// with some prefix of the update sequence, and after the final update
-// completes every read must reflect the final ruleset exactly.
+// invalidation, straggler rejection, LRU eviction, lookup_batch against
+// per-key lookup, lock-free batch readers racing a writer) plus the
+// coherence property the runtime wiring must uphold — a cached decision
+// NEVER survives a rule insert/erase once the update's completion is
+// reported. The concurrent sections hammer the cache and a cached
+// ShardedClassifier from reader threads while a writer streams inserts
+// or updates (run under TSan via scripts/check.sh tsan); every observed
+// result must be consistent with some prefix of the update sequence,
+// and after the final update completes every read must reflect the
+// final ruleset exactly.
 #include "flow/flow_cache.h"
 
 #include <gtest/gtest.h>
@@ -120,6 +122,138 @@ TEST(FlowCache, OverfillEvictsButNeverLies) {
   EXPECT_LE(live, cache.capacity());
 }
 
+MatchResult best_only(std::size_t best) {
+  MatchResult r;
+  r.best = best;
+  return r;
+}
+
+// lookup_batch must answer exactly what per-key lookup() answers, across
+// the prefetch-chunk edges: the same hits and best, the misses in order,
+// multi vectors intact — and a best-only entry is a miss for a
+// multi-wanting batch. Counters move by the exact hit/miss totals.
+TEST(FlowCache, LookupBatchMatchesPerKeyLookup) {
+  FlowCache cache(4096);
+  std::vector<net::HeaderBits> keys;
+  std::uint32_t state = 12345;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    state = state * 1664525u + 1013904223u;
+    keys.emplace_back(tuple(state, static_cast<std::uint16_t>(i)));
+    switch (i % 4) {  // 1 in 4 keys is never inserted
+      case 0: cache.insert(keys.back(), cache.epoch(), result_with_best(i % 300, 300)); break;
+      case 1: cache.insert(keys.back(), cache.epoch(), best_only(i)); break;
+      case 2: cache.insert(keys.back(), cache.epoch(),
+                           result_with_best(MatchResult::kNoMatch, 300));
+              break;
+      default: break;
+    }
+  }
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 256u, 1000u}) {
+    for (const bool want_multi : {false, true}) {
+      const std::span<const net::HeaderBits> batch(keys.data(), n);
+      std::vector<MatchResult> expect(n);
+      std::vector<std::size_t> expect_misses;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool hit = cache.lookup(batch[i], expect[i]);
+        if (!hit || (want_multi && expect[i].multi.empty())) expect_misses.push_back(i);
+        if (!want_multi) expect[i].multi.assign_zeros(0);
+      }
+      const auto before = cache.stats();
+      std::vector<MatchResult> got(n);
+      std::vector<std::size_t> misses{999};  // stale content must be cleared
+      const std::size_t hits = cache.lookup_batch(batch, got, want_multi, misses);
+      const auto after = cache.stats();
+      SCOPED_TRACE("n=" + std::to_string(n) + " want_multi=" + std::to_string(want_multi));
+      EXPECT_EQ(misses, expect_misses);
+      EXPECT_EQ(hits, n - expect_misses.size());
+      EXPECT_EQ(after.hits - before.hits, hits);
+      EXPECT_EQ(after.misses - before.misses, expect_misses.size());
+      std::size_t m = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (m < misses.size() && misses[m] == i) {
+          ++m;
+          continue;
+        }
+        EXPECT_EQ(got[i].best, expect[i].best) << i;
+        EXPECT_EQ(got[i].multi, expect[i].multi) << i;
+      }
+    }
+  }
+}
+
+// One writer refills every key per epoch and then invalidates, while
+// readers probe batches. A hit's best encodes (epoch, key), so a torn
+// key/best pair, a best from an epoch the batch could not have loaded,
+// or a hit on an invalidated entry all show up; multi hits must carry
+// the vector inserted with that best. Run under TSan by check.sh.
+TEST(FlowCache, ConcurrentLookupBatchNeverServesTornOrInvalidatedEntries) {
+  constexpr std::size_t kKeys = 256;  // twice the slots: constant eviction
+  constexpr std::uint64_t kRounds = 150;
+  FlowCache cache(128);
+  std::vector<net::HeaderBits> keys;
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    keys.emplace_back(tuple(0x0A000000 + k, static_cast<std::uint16_t>(k)));
+  }
+  std::atomic<bool> done{false};
+  std::vector<std::string> errors(3);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < errors.size(); ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<MatchResult> results(kKeys);
+      std::vector<std::size_t> misses;
+      for (std::uint64_t it = 0; errors[t].empty(); ++it) {
+        const bool finished = done.load(std::memory_order_acquire);
+        const bool want_multi = it % 2 == 1;
+        const std::uint64_t lo = cache.epoch();
+        cache.lookup_batch(keys, results, want_multi, misses);
+        const std::uint64_t hi = cache.epoch();
+        std::size_t m = 0;
+        for (std::size_t k = 0; k < kKeys && errors[t].empty(); ++k) {
+          if (m < misses.size() && misses[m] == k) {
+            ++m;
+            continue;
+          }
+          const MatchResult& r = results[k];
+          const std::uint64_t epoch = r.best / kKeys;
+          if (r.best % kKeys != k || epoch < lo || epoch > hi) {
+            errors[t] = "key " + std::to_string(k) + " served best " +
+                        std::to_string(r.best) + " in epochs [" + std::to_string(lo) +
+                        ", " + std::to_string(hi) + "]";
+          } else if (want_multi && (r.multi.count() != 1 || !r.multi.test(r.best % 61))) {
+            errors[t] = "key " + std::to_string(k) + " multi torn from best";
+          } else if (!want_multi && !r.multi.empty()) {
+            errors[t] = "best-only batch got a multi vector";
+          }
+        }
+        if (finished) break;
+      }
+    });
+  }
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const std::uint64_t epoch = cache.epoch();
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      const std::size_t best = epoch * kKeys + k;
+      MatchResult r = best_only(best);
+      if (k % 2 == 1) {
+        r.multi.assign_zeros(61);
+        r.multi.set(best % 61);
+      }
+      cache.insert(keys[k], epoch, r);
+    }
+    cache.invalidate();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  for (std::size_t t = 0; t < errors.size(); ++t) {
+    EXPECT_TRUE(errors[t].empty()) << "reader " << t << ": " << errors[t];
+  }
+  // The last round was invalidated: nothing may be served now.
+  std::vector<MatchResult> results(kKeys);
+  std::vector<std::size_t> misses;
+  EXPECT_EQ(cache.lookup_batch(keys, results, false, misses), 0u);
+  EXPECT_EQ(misses.size(), kKeys);
+}
+
 // ---------------------------------------------------------------------------
 // Runtime wiring: the coherence contract.
 
@@ -219,10 +353,25 @@ TEST(FlowCacheRuntime, BestOnlyEntriesAreNotServedToMultiCallers) {
   // Seed the cache from a best-only caller (empty multi vectors).
   sc.classify_batch(headers, results, engines::BatchOptions{.want_multi = false});
   EXPECT_TRUE(results[0].multi.empty());
+  auto snap = sc.stats_snapshot();
+  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.cache_misses, 4u);
   // A multi-wanting caller must get a full-width vector, not the
-  // cached stub.
+  // cached stub — and the stub it could not use counts as a miss.
   sc.classify_batch(headers, results);
   for (const auto& r : results) EXPECT_EQ(r.multi.size(), sc.rule_count());
+  snap = sc.stats_snapshot();
+  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.cache_misses, 8u);
+  // The refreshed entry now carries multi and serves both callers.
+  sc.classify_batch(headers, results);
+  for (const auto& r : results) EXPECT_EQ(r.multi.size(), sc.rule_count());
+  EXPECT_EQ(sc.classify(headers[0]).multi.size(), sc.rule_count());
+  sc.classify_batch(headers, results, engines::BatchOptions{.want_multi = false});
+  for (const auto& r : results) EXPECT_TRUE(r.multi.empty());
+  snap = sc.stats_snapshot();
+  EXPECT_EQ(snap.cache_hits, 9u);
+  EXPECT_EQ(snap.cache_misses, 8u);
 }
 
 // Readers race a writer streaming synchronous updates. During the race

@@ -3,6 +3,7 @@
 // wrong rule — and valid inputs must round-trip bit-exactly.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -61,7 +62,9 @@ TEST(ParserFuzz, MutatedValidLinesFailCleanly) {
           mutated.resize(rng.below(mutated.size()));
           break;
         default:  // duplicate a token separator
-          mutated.insert(rng.below(mutated.size()), " ");
+          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.below(mutated.size())),
+                         ' ');
           break;
       }
       const auto parsed = Rule::parse(mutated);
