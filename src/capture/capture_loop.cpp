@@ -1,5 +1,7 @@
 #include "capture/capture_loop.h"
 
+#include <algorithm>
+
 namespace rfipc::capture {
 
 CaptureLoop::CaptureLoop(CaptureSource& source,
@@ -18,11 +20,12 @@ CaptureLoop::CaptureLoop(CaptureSource& source,
 CaptureLoop::~CaptureLoop() { stop(); }
 
 std::vector<unsigned char> CaptureLoop::build_table(
-    const ruleset::RuleSet& rules) {
-  std::vector<unsigned char> table(rules.size(), 0);
+    const ruleset::RuleSet& rules) const {
+  std::vector<unsigned char> table(rules.size() + 1, 0);
   for (std::size_t i = 0; i < rules.size(); ++i) {
     table[i] = rules[i].action.kind == ruleset::Action::Kind::kForward ? 1 : 0;
   }
+  table[rules.size()] = config_.default_forward ? 1 : 0;
   return table;
 }
 
@@ -47,50 +50,42 @@ std::size_t CaptureLoop::step(std::size_t ring, RingScratch& scratch) {
   c.frames.fetch_add(n, std::memory_order_relaxed);
   c.batches.fetch_add(1, std::memory_order_relaxed);
 
-  // Parse, compacting failures out of the engine batch (an inline
-  // classifier drops what it cannot decode).
+  // Parse each frame straight into the next free key slot; a failure
+  // leaves `parsed` where it is, so the next frame overwrites its slot
+  // (an inline classifier drops what it cannot decode).
   const std::uint32_t link_type = source_.link_type();
-  scratch.headers.clear();
-  std::uint64_t parse_failures = 0;
+  if (scratch.headers.size() < n) scratch.headers.resize(n);
+  std::size_t parsed = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const net::ParsedPacket p =
-        net::parse_frame(scratch.views[i].bytes(), link_type);
-    if (p.ok()) {
-      scratch.headers.emplace_back(p.tuple);
-    } else {
-      ++parse_failures;
-    }
+    parsed += net::parse_key(scratch.views[i].bytes(), link_type,
+                             scratch.headers[parsed]) == net::ParseStatus::kOk;
   }
+  const std::uint64_t parse_failures = n - parsed;
   if (parse_failures > 0) {
     c.parse_failures.fetch_add(parse_failures, std::memory_order_relaxed);
     c.dropped.fetch_add(parse_failures, std::memory_order_relaxed);
   }
-  if (scratch.headers.empty()) return n;
+  if (parsed == 0) return n;
 
   // Classify the parsed sub-batch (best-only; results keep capacity).
-  if (scratch.results.size() < scratch.headers.size()) {
-    scratch.results.resize(scratch.headers.size());
-  }
-  const std::span<engines::MatchResult> results{scratch.results.data(),
-                                                scratch.headers.size()};
-  engine_.classify_batch(scratch.headers, results,
+  if (scratch.results.size() < parsed) scratch.results.resize(parsed);
+  const std::span<engines::MatchResult> results{scratch.results.data(), parsed};
+  engine_.classify_batch({scratch.headers.data(), parsed}, results,
                          engines::BatchOptions{.want_multi = false});
 
-  // Apply verdicts under one table load per batch.
+  // Apply verdicts under one table load per batch. The table's last
+  // slot holds the default verdict and every winner beyond the rules
+  // (kNoMatch included) is clamped onto it, so a forward/drop mix
+  // steers no branch.
   const auto table = verdicts();
+  const unsigned char* bits = table->data();
+  const std::size_t fallback = table->size() - 1;
   std::uint64_t forwarded = 0;
-  std::uint64_t dropped = 0;
   for (const engines::MatchResult& r : results) {
-    bool forward = config_.default_forward;
-    if (r.has_match() && r.best < table->size()) forward = (*table)[r.best] != 0;
-    if (forward) {
-      ++forwarded;
-    } else {
-      ++dropped;
-    }
+    forwarded += bits[std::min(r.best, fallback)];
   }
   c.forwarded.fetch_add(forwarded, std::memory_order_relaxed);
-  c.dropped.fetch_add(dropped, std::memory_order_relaxed);
+  c.dropped.fetch_add(parsed - forwarded, std::memory_order_relaxed);
   return n;
 }
 

@@ -2,16 +2,26 @@
 // out.
 //
 // One CaptureLoop drives one CaptureSource into one engine. Per ring it
-// pulls a batch of FrameViews, decodes each through net::parse_frame
-// (link type from the source), packs the parsed 5-tuples into
-// HeaderBits, and classifies the whole batch through the zero-alloc
-// classify_batch path (want_multi=false; headers/results/views keep
-// their capacity across batches, so the steady state allocates
-// nothing). The winning rule index is mapped to a forward/drop verdict
-// through a verdict table — one forward-bit per rule — and per-ring
-// counters (frames, batches, parse failures, forwards, drops, source
-// overruns) surface through runtime::CaptureCounters, which the daemon
-// folds into StatsSnapshot for the STATS wire op.
+// pulls a batch of FrameViews and decodes each through net::parse_key
+// (link type from the source) straight into the next free HeaderBits
+// slot: the key's layout is the fields' wire order, so there is no
+// intermediate 5-tuple, and a frame that fails to parse simply leaves
+// its slot to the next frame. The parsed prefix is classified through
+// the zero-alloc classify_batch path (want_multi=false; headers/
+// results/views keep their capacity across batches, so the steady
+// state allocates nothing). The winning rule index is mapped to a
+// forward/drop verdict through a verdict table — one forward-bit per
+// rule plus a final default slot — and per-ring counters (frames,
+// batches, parse failures, forwards, drops, source overruns) surface
+// through runtime::CaptureCounters, which the daemon folds into
+// StatsSnapshot for the STATS wire op.
+//
+// The per-frame loops carry no branch that depends on the traffic:
+// compaction advances the slot index by the parse outcome, the
+// protocol test inside the parser is bitwise, and the verdict count
+// clamps the winner onto the table (kNoMatch and out-of-range winners
+// land on the default slot) and adds the bit. A TCP/UDP/ICMP or
+// forward/drop mix therefore costs no mispredictions.
 //
 // Verdict semantics:
 //   * a frame that parses and matches rule r: forward iff the verdict
@@ -101,16 +111,18 @@ class CaptureLoop {
   };
 
   /// Per-ring scratch reused across batches (zero steady-state
-  /// allocation once warm): views from the source, packed headers and
-  /// results for the engine, and the view-index of each header (parse
-  /// failures are compacted out before classify).
+  /// allocation once warm): views from the source, and the keys and
+  /// results for the engine. Parse failures are compacted out of
+  /// `headers` as they happen, so only its first `parsed` slots are
+  /// classified.
   struct RingScratch {
     std::vector<FrameView> views;
     std::vector<net::HeaderBits> headers;
     std::vector<engines::MatchResult> results;
   };
 
-  static std::vector<unsigned char> build_table(const ruleset::RuleSet& rules);
+  /// One forward-bit per rule, then one slot holding default_forward.
+  std::vector<unsigned char> build_table(const ruleset::RuleSet& rules) const;
   std::shared_ptr<const std::vector<unsigned char>> verdicts() const;
 
   /// Pulls and classifies one batch on `ring`. Returns frames consumed

@@ -48,7 +48,7 @@ class CaptureSource {
   virtual std::size_t ring_count() const = 0;
 
   /// LINKTYPE_* of the frames this source delivers (net/pcap.h); feeds
-  /// net::parse_frame. AF_PACKET rings deliver LINKTYPE_ETHERNET.
+  /// net::parse_key. AF_PACKET rings deliver LINKTYPE_ETHERNET.
   virtual std::uint32_t link_type() const = 0;
 
   /// Fills up to out.size() frames from `ring` and returns how many.

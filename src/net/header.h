@@ -52,7 +52,7 @@ class HeaderBits {
   explicit HeaderBits(const FiveTuple& t);
 
   /// Rebuilds a header from its packed 13-byte representation (the
-  /// inverse of bytes() — used by the wire codec).
+  /// inverse of bytes() — used by the wire codec and net::parse_key).
   static HeaderBits from_bytes(const std::array<std::uint8_t, 13>& raw) {
     HeaderBits h;
     h.bytes_ = raw;

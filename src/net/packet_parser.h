@@ -34,6 +34,7 @@ enum class ParseStatus : std::uint8_t {
 
 const char* parse_status_name(ParseStatus s);
 
+/// On error only `status` is set; every other field keeps its default.
 struct ParsedPacket {
   ParseStatus status = ParseStatus::kOk;
   FiveTuple tuple;
@@ -52,7 +53,7 @@ ParsedPacket parse_packet(std::span<const std::uint8_t> frame);
 
 /// Link-type-aware parse, for frames sourced from pcap files or capture
 /// rings whose link layer is not Ethernet:
-///   * LINKTYPE_ETHERNET (1)  — delegates to parse_packet;
+///   * LINKTYPE_ETHERNET (1)  — exactly parse_packet;
 ///   * LINKTYPE_RAW (101)     — the frame starts at the IPv4 header;
 ///   * LINKTYPE_NULL (0)      — a 4-byte host-endian AF family word
 ///     (AF_INET accepted in either byte order, since the header follows
@@ -60,6 +61,18 @@ ParsedPacket parse_packet(std::span<const std::uint8_t> frame);
 /// Any other link type reports kUnsupportedLinkType.
 ParsedPacket parse_frame(std::span<const std::uint8_t> frame,
                          std::uint32_t link_type);
+
+/// Link-type-aware parse straight into the classifier key, for the
+/// per-frame capture path. The key's canonical layout (SIP|DIP|SP|DP|PRT,
+/// MSB first) is the fields' own network byte order, so the key is
+/// copied out of the frame: 8 address bytes, the 4 port bytes (zeros
+/// when the frame carries none: not TCP/UDP, or a non-first fragment)
+/// and the protocol byte. Validation is the same routine parse_frame
+/// runs, so the status always equals parse_frame's, and on kOk `out`
+/// equals HeaderBits(parse_frame(frame, link_type).tuple). On any other
+/// status `out` is not written.
+ParseStatus parse_key(std::span<const std::uint8_t> frame,
+                      std::uint32_t link_type, HeaderBits& out);
 
 struct BuildOptions {
   std::size_t payload_len = 16;

@@ -410,9 +410,7 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
   return_scratch(std::move(scratch));
 
   std::uint64_t matched = 0;
-  for (const MatchResult& r : results) {
-    if (r.has_match()) ++matched;
-  }
+  for (const MatchResult& r : results) matched += r.has_match();
   stats_.record_batch(headers.size(), matched);
 }
 

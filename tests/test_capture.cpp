@@ -314,6 +314,97 @@ TEST(CaptureLoop, DefaultForwardAppliesToUnmatchedFrames) {
   }
 }
 
+TEST(CaptureLoop, WinnerBeyondVerdictTableFollowsDefault) {
+  // The engine still classifies against all 64 rules while the verdict
+  // table was published from the first 8 (an update raced the batch):
+  // winners 0..7 take their own action, winners 8.. and unmatched
+  // frames take the default policy.
+  const auto rules = make_rules();
+  const auto engine = make_engine(rules);
+  const auto file = make_capture(rules, 400, net::kLinktypeEthernet, 9);
+  const std::size_t kept = 8;
+  const ruleset::RuleSet shorter(
+      std::vector<ruleset::Rule>(rules.begin(), rules.begin() + kept));
+
+  std::uint64_t in_table = 0, in_table_fwd = 0, beyond = 0, failures = 0;
+  for (const auto& rec : file.records) {
+    const auto p = net::parse_frame(rec.frame, file.link_type);
+    if (!p.ok()) {
+      ++failures;
+      continue;
+    }
+    const auto best = rules.first_match(p.tuple);
+    if (best.has_value() && *best < kept) {
+      ++in_table;
+      in_table_fwd += shorter[*best].action.kind == ruleset::Action::Kind::kForward;
+    } else {
+      ++beyond;
+    }
+  }
+  ASSERT_GT(in_table, 0u);
+  ASSERT_GT(beyond, 0u);
+  ASSERT_GT(failures, 0u);
+
+  for (const bool permissive : {false, true}) {
+    capture::PcapReplaySource src(file);
+    capture::CaptureLoopConfig cfg;
+    cfg.default_forward = permissive;
+    capture::CaptureLoop loop(src, engine, rules, cfg);
+    loop.publish_verdicts(shorter);
+    loop.run();
+    const auto total = loop.counters().total();
+    const std::uint64_t forwarded = in_table_fwd + (permissive ? beyond : 0);
+    EXPECT_EQ(total.parse_failures, failures);
+    EXPECT_EQ(total.forwarded, forwarded) << "default_forward " << permissive;
+    EXPECT_EQ(total.dropped, 400u - forwarded) << "default_forward " << permissive;
+  }
+}
+
+TEST(CaptureLoop, MixedProtocolsAndFragmentsMatchReference) {
+  // TCP, UDP, ICMP and non-first fragments interleaved frame by frame,
+  // with junk: the per-frame path has no protocol or verdict branch,
+  // so a mix must count exactly like the reference.
+  const auto rules = make_rules();
+  const auto engine = make_engine(rules);
+  ruleset::TraceConfig tcfg;
+  tcfg.size = 600;
+  tcfg.seed = 11;
+  const auto trace = ruleset::generate_trace(rules, tcfg);
+  const std::uint8_t protos[] = {6, 17, 1};
+  for (const std::uint32_t link : {net::kLinktypeEthernet, net::kLinktypeRaw,
+                                   net::kLinktypeNull}) {
+    net::PcapFile file;
+    file.link_type = link;
+    util::Xoshiro256 rng(23);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      net::FiveTuple t = trace[i];
+      if (rng.chance(1, 3)) t.protocol = protos[rng.below(3)];
+      net::BuildOptions opt;
+      opt.fragment = rng.chance(1, 6);
+      opt.payload_len = rng.below(24);
+      net::PcapRecord rec;
+      rec.frame = net::build_frame(t, link, opt);
+      if (rng.chance(1, 20)) rec.frame.resize(rng.below(rec.frame.size()));
+      file.records.push_back(std::move(rec));
+    }
+    const auto ref = reference_verdicts(file, rules);
+    ASSERT_GT(ref.parse_failures, 0u);
+    ASSERT_GT(ref.forwarded, 0u);
+
+    capture::PcapReplayConfig cfg;
+    cfg.rings = 2;
+    capture::PcapReplaySource src(file, cfg);
+    capture::CaptureLoopConfig lcfg;
+    lcfg.batch_size = 64;
+    capture::CaptureLoop loop(src, engine, rules, lcfg);
+    EXPECT_EQ(loop.run(), trace.size());
+    const auto total = loop.counters().total();
+    EXPECT_EQ(total.parse_failures, ref.parse_failures) << "link " << link;
+    EXPECT_EQ(total.forwarded, ref.forwarded) << "link " << link;
+    EXPECT_EQ(total.dropped, ref.dropped) << "link " << link;
+  }
+}
+
 TEST(CaptureLoop, TinyBatchSizeStillCorrect) {
   const auto rules = make_rules();
   const auto engine = make_engine(rules);

@@ -6,10 +6,13 @@
 // scripts/check.sh), and fail with precise statuses. The corpus is a
 // set of structurally distinct VALID inputs; each is then subjected to
 // systematic truncation at every length, single-byte corruption at
-// every offset, and seeded random mutation.
+// every offset, and seeded random mutation. Every frame sweep is also
+// differential: parse_key must return parse_frame's status under every
+// link type and, on kOk, the key parse_frame's tuple packs to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +64,59 @@ std::vector<std::vector<std::uint8_t>> frame_corpus() {
   return corpus;
 }
 
+struct LinkFrame {
+  std::uint32_t link_type;
+  std::vector<std::uint8_t> bytes;
+};
+
+/// frame_corpus() as Ethernet, plus the same protocol/fragment/payload
+/// spread framed as LINKTYPE_RAW and LINKTYPE_NULL.
+std::vector<LinkFrame> link_corpus() {
+  std::vector<LinkFrame> corpus;
+  for (auto& frame : frame_corpus()) {
+    corpus.push_back({kLinktypeEthernet, std::move(frame)});
+  }
+  for (const std::uint32_t link : {kLinktypeRaw, kLinktypeNull}) {
+    for (const std::uint8_t proto : {std::uint8_t{6}, std::uint8_t{17}, std::uint8_t{1}}) {
+      for (const bool fragment : {false, true}) {
+        BuildOptions opt;
+        opt.payload_len = fragment ? 8 : 0;
+        opt.fragment = fragment;
+        corpus.push_back({link, build_frame(corpus_tuple(proto), link, opt)});
+      }
+    }
+  }
+  return corpus;
+}
+
+/// parse_key against parse_frame on one input, under every link type
+/// (the frame's own and the ones that misread it): the same status,
+/// and on kOk exactly the key parse_frame's tuple packs to. The key
+/// starts as a non-zero pattern so a byte parse_key forgot to write
+/// shows up. Returns how many link types parsed the input.
+int expect_key_agrees(std::span<const std::uint8_t> frame) {
+  std::array<std::uint8_t, 13> pattern;
+  pattern.fill(0xa5);
+  int ok = 0;
+  for (const std::uint32_t link :
+       {kLinktypeEthernet, kLinktypeRaw, kLinktypeNull, std::uint32_t{105}}) {
+    const ParsedPacket p = parse_frame(frame, link);
+    HeaderBits key = HeaderBits::from_bytes(pattern);
+    EXPECT_EQ(parse_key(frame, link, key), p.status)
+        << "link " << link << " len " << frame.size();
+    if (p.ok()) {
+      EXPECT_EQ(key, HeaderBits(p.tuple)) << "link " << link;
+      ++ok;
+    }
+  }
+  return ok;
+}
+
+/// An exact-size heap copy, so ASan flags any read past the frame.
+std::vector<std::uint8_t> exact_copy(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
 std::vector<std::vector<std::uint8_t>> pcap_corpus() {
   std::vector<std::vector<std::uint8_t>> corpus;
   for (const int packets : {0, 1, 5}) {
@@ -100,24 +156,27 @@ TEST(NetFuzz, CorpusFramesAreValidAndQinQParses) {
 }
 
 TEST(NetFuzz, EveryTruncationOfEveryFrameFailsCleanly) {
-  for (const auto& frame : frame_corpus()) {
+  for (const auto& [link, frame] : link_corpus()) {
+    EXPECT_GE(expect_key_agrees(frame), 1) << "link " << link;
     for (std::size_t len = 0; len < frame.size(); ++len) {
-      const auto p = parse_packet(std::span<const std::uint8_t>(frame.data(), len));
-      // build_packet emits frames with no trailing padding, so any
+      const auto cut = exact_copy({frame.data(), len});
+      // build_frame emits frames with no trailing padding, so any
       // truncation must be detected.
-      EXPECT_FALSE(p.ok()) << "len " << len << " of " << frame.size();
+      EXPECT_FALSE(parse_frame(cut, link).ok())
+          << "link " << link << " len " << len << " of " << frame.size();
+      expect_key_agrees(cut);
     }
   }
 }
 
 TEST(NetFuzz, EverySingleByteCorruptionOfEveryFrameIsContained) {
-  for (const auto& frame : frame_corpus()) {
+  for (const auto& [link, frame] : link_corpus()) {
     for (std::size_t off = 0; off < frame.size(); ++off) {
       for (const std::uint8_t patch : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
         auto bad = frame;
         if (bad[off] == patch) continue;
         bad[off] = patch;
-        (void)parse_packet(bad);  // any status; must not crash or overread
+        expect_key_agrees(bad);  // any status; must not crash or overread
       }
     }
   }
@@ -165,16 +224,21 @@ TEST(NetFuzz, TruncatedTailKeepsEarlierPackets) {
 
 TEST(NetFuzz, SeededRandomMutationsNeverCrash) {
   util::Xoshiro256 rng(2026);
-  const auto frames = frame_corpus();
+  const auto frames = link_corpus();
   const auto pcaps = pcap_corpus();
-  for (int iter = 0; iter < 2000; ++iter) {
-    auto frame = frames[rng.below(frames.size())];
-    const std::size_t flips = 1 + rng.below(8);
-    for (std::size_t f = 0; f < flips && !frame.empty(); ++f) {
+  int parsed = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    auto frame = frames[rng.below(frames.size())].bytes;
+    const std::size_t flips = 1 + rng.below(4);
+    for (std::size_t f = 0; f < flips; ++f) {
       frame[rng.below(frame.size())] = static_cast<std::uint8_t>(rng());
     }
-    (void)parse_packet(frame);
+    if (rng.chance(1, 4)) frame.resize(rng.below(frame.size() + 1));
+    parsed += expect_key_agrees(exact_copy(frame));
   }
+  // Many mutants land in payload or address bytes and still parse, so
+  // parse_key's key is compared, not only its status.
+  EXPECT_GT(parsed, 1000);
   for (int iter = 0; iter < 1000; ++iter) {
     auto bytes = pcaps[rng.below(pcaps.size())];
     const std::size_t flips = 1 + rng.below(8);
@@ -193,7 +257,7 @@ TEST(NetFuzz, RandomGarbageNeverCrashes) {
   for (int iter = 0; iter < 3000; ++iter) {
     std::vector<std::uint8_t> junk(rng.below(192));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
-    (void)parse_packet(junk);
+    expect_key_agrees(junk);
     const auto r = try_pcap_from_bytes(junk);
     if (r.ok) {
       EXPECT_GE(pcap_to_bytes(r.file).size(), 24u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
 #include "net/pcap.h"
@@ -244,9 +245,13 @@ TEST(ParseFrame, RandomizedRoundTripAllLinkTypes) {
       t.protocol = rng.chance(1, 2) ? 6 : 17;
       t.src_port = static_cast<std::uint16_t>(rng.below(0x10000));
       t.dst_port = static_cast<std::uint16_t>(rng.below(0x10000));
-      const auto p = parse_frame(build_frame(t, link), link);
+      const auto frame = build_frame(t, link);
+      const auto p = parse_frame(frame, link);
       ASSERT_TRUE(p.ok()) << link;
       EXPECT_EQ(p.tuple, t);
+      HeaderBits key;
+      ASSERT_EQ(parse_key(frame, link, key), ParseStatus::kOk) << link;
+      EXPECT_EQ(key, HeaderBits(t));
     }
   }
 }
@@ -260,6 +265,128 @@ TEST(ParseFrame, FuzzRandomBytesAllLinkTypesNeverCrash) {
     (void)parse_frame(junk, kLinktypeRaw);
     (void)parse_frame(junk, kLinktypeNull);
     (void)parse_frame(junk, static_cast<std::uint32_t>(rng.below(300)));
+  }
+}
+
+// --- parse_key: the same validation, the key copied in wire order ---
+
+/// Prepends an 802.1ad outer tag to an (already 802.1Q-tagged) frame.
+std::vector<std::uint8_t> with_outer_tag(std::vector<std::uint8_t> frame) {
+  const std::uint8_t tag[4] = {0x88, 0xa8, 0x00, 0x09};
+  frame.insert(frame.begin() + 12, tag, tag + 4);
+  return frame;
+}
+
+struct KeyCase {
+  const char* name;
+  std::uint32_t link_type;
+  std::vector<std::uint8_t> frame;
+  FiveTuple expect;  // what the key must pack (ports 0 when absent)
+};
+
+std::vector<KeyCase> key_cases() {
+  std::vector<KeyCase> cases;
+  for (const std::uint8_t proto : {std::uint8_t{6}, std::uint8_t{17}, std::uint8_t{1}}) {
+    auto t = sample_tcp();
+    t.protocol = proto;
+    auto want = t;
+    if (proto == 1) want.src_port = want.dst_port = 0;
+    auto frag = t;
+    frag.src_port = frag.dst_port = 0;
+    BuildOptions vlan;
+    vlan.vlan = true;
+    vlan.vlan_id = 300;
+    BuildOptions fragment;
+    fragment.fragment = true;
+    fragment.payload_len = 24;
+    cases.push_back({"ether", kLinktypeEthernet, build_packet(t), want});
+    cases.push_back({"vlan", kLinktypeEthernet, build_packet(t, vlan), want});
+    cases.push_back({"qinq", kLinktypeEthernet,
+                     with_outer_tag(build_packet(t, vlan)), want});
+    cases.push_back({"ether-fragment", kLinktypeEthernet,
+                     build_packet(t, fragment), frag});
+    cases.push_back({"raw", kLinktypeRaw, build_frame(t, kLinktypeRaw), want});
+    cases.push_back({"raw-fragment", kLinktypeRaw,
+                     build_frame(t, kLinktypeRaw, fragment), frag});
+    cases.push_back({"null", kLinktypeNull, build_frame(t, kLinktypeNull), want});
+    cases.push_back({"null-fragment", kLinktypeNull,
+                     build_frame(t, kLinktypeNull, fragment), frag});
+  }
+  return cases;
+}
+
+TEST(ParseKey, MatchesParseFrameOnEveryLinkTypeProtocolAndFragment) {
+  for (const auto& c : key_cases()) {
+    const auto p = parse_frame(c.frame, c.link_type);
+    ASSERT_TRUE(p.ok()) << c.name << ": " << parse_status_name(p.status);
+    HeaderBits key;
+    ASSERT_EQ(parse_key(c.frame, c.link_type, key), ParseStatus::kOk) << c.name;
+    EXPECT_EQ(key, HeaderBits(p.tuple)) << c.name;
+    EXPECT_EQ(key, HeaderBits(c.expect)) << c.name;
+    EXPECT_EQ(key.unpack(), c.expect) << c.name;
+  }
+}
+
+TEST(ParseKey, KeyIsTheFramesOwnFieldBytes) {
+  // SIP|DIP at IP+12, SP|DP at the transport header, PRT at IP+9: the
+  // canonical key is these 13 bytes in this order, untouched.
+  const auto frame = build_packet(sample_tcp());
+  HeaderBits key;
+  ASSERT_EQ(parse_key(frame, kLinktypeEthernet, key), ParseStatus::kOk);
+  const std::size_t l3 = 14;
+  const std::size_t l4 = l3 + 20;
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(key.bytes()[i], frame[l3 + 12 + i]);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(key.bytes()[8 + i], frame[l4 + i]);
+  EXPECT_EQ(key.bytes()[12], frame[l3 + 9]);
+}
+
+TEST(ParseKey, RejectionsMatchParseFrameAndLeaveTheKeyAlone) {
+  const auto good = build_packet(sample_tcp());
+  auto ipv6 = good;
+  ipv6[12] = 0x86;
+  ipv6[13] = 0xdd;
+  auto version = good;
+  version[14] = 0x65;
+  auto ihl = good;
+  ihl[14] = 0x44;
+  auto total = good;
+  total[16] = 0xff;
+  total[17] = 0xff;
+  auto transport = good;  // IP total length leaves 2 of the 4 port bytes
+  transport[16] = 0;
+  transport[17] = 22;
+  auto family = build_frame(sample_tcp(), kLinktypeNull);
+  family[0] = 10;
+  const std::vector<std::uint8_t> null_short{2, 0};
+
+  const struct {
+    std::vector<std::uint8_t> frame;
+    std::uint32_t link_type;
+    ParseStatus status;
+  } cases[] = {
+      {{good.begin(), good.begin() + 10}, kLinktypeEthernet,
+       ParseStatus::kTruncatedEthernet},
+      {ipv6, kLinktypeEthernet, ParseStatus::kUnsupportedEtherType},
+      {{good.begin(), good.begin() + 30}, kLinktypeEthernet, ParseStatus::kTruncatedIp},
+      {version, kLinktypeEthernet, ParseStatus::kBadIpVersion},
+      {ihl, kLinktypeEthernet, ParseStatus::kBadIpHeaderLength},
+      {total, kLinktypeEthernet, ParseStatus::kBadIpTotalLength},
+      {transport, kLinktypeEthernet, ParseStatus::kTruncatedTransport},
+      {null_short, kLinktypeNull, ParseStatus::kTruncatedLink},
+      {family, kLinktypeNull, ParseStatus::kUnsupportedFamily},
+      {good, 105, ParseStatus::kUnsupportedLinkType},
+  };
+  std::array<std::uint8_t, 13> pattern;
+  pattern.fill(0x5a);
+  for (const auto& c : cases) {
+    const auto p = parse_frame(c.frame, c.link_type);
+    EXPECT_EQ(p.status, c.status) << parse_status_name(c.status);
+    EXPECT_EQ(p.tuple, FiveTuple{}) << parse_status_name(c.status);
+    EXPECT_EQ(p.payload_offset, 0u) << parse_status_name(c.status);
+    HeaderBits key = HeaderBits::from_bytes(pattern);
+    EXPECT_EQ(parse_key(c.frame, c.link_type, key), c.status)
+        << parse_status_name(c.status);
+    EXPECT_EQ(key.bytes(), pattern) << parse_status_name(c.status);
   }
 }
 

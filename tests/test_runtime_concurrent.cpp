@@ -109,6 +109,7 @@ TEST(RuntimeConcurrent, ReadersSeeOnlyPrefixConsistentSnapshotsInOrder) {
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> live{0};  // readers past their first observation
   std::vector<ReaderReport> reports(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -144,13 +145,17 @@ TEST(RuntimeConcurrent, ReadersSeeOnlyPrefixConsistentSnapshotsInOrder) {
         }
         prev_k = k;
         if (k > rep.max_k) rep.max_k = k;
-        ++rep.observations;
+        if (++rep.observations == 1) live.fetch_add(1, std::memory_order_release);
       }
+      if (rep.observations == 0) live.fetch_add(1, std::memory_order_release);
     });
   }
 
-  // Writer: grow to kBase + kVersions, then shrink back, synchronously
-  // (each call waits for its publishing snapshot swap).
+  // Writer: once every reader is running (on a loaded host a reader
+  // thread may otherwise first run after the last update), grow to
+  // kBase + kVersions, then shrink back, synchronously (each call waits
+  // for its publishing snapshot swap).
+  while (live.load(std::memory_order_acquire) < kReaders) std::this_thread::yield();
   for (std::size_t v = 0; v < kVersions; ++v) {
     ASSERT_TRUE(sc.insert_rule(kBase + v, ruleset::Rule::any()));
   }
@@ -215,6 +220,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
+  std::atomic<bool> live{false};  // the reader is past its first observation
   ReaderReport rep;
   std::thread reader([&] {
     std::vector<net::HeaderBits> batch_in(8, probe);
@@ -241,9 +247,12 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
       }
       prev_k = k;
       ++rep.observations;
+      live.store(true, std::memory_order_release);
     }
+    live.store(true, std::memory_order_release);
   });
 
+  while (!live.load(std::memory_order_acquire)) std::this_thread::yield();
   for (std::size_t v = 0; v < kVersions; ++v) {
     ASSERT_TRUE(sc.insert_rule(kBase + v, ruleset::Rule::any()));
   }
