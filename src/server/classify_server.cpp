@@ -143,6 +143,10 @@ void ClassifyServer::on_readable(Connection& conn) {
         close_connection(fd);
         return;
       }
+      // A short read drained the socket; epoll is level-triggered, so
+      // bytes landing after it are re-reported instead of costing an
+      // EAGAIN read here.
+      if (static_cast<std::size_t>(n) < read_buf_.size()) break;
       continue;
     }
     if (n == 0) {  // peer closed
@@ -154,9 +158,8 @@ void ClassifyServer::on_readable(Connection& conn) {
     close_connection(fd);
     return;
   }
-  std::vector<std::uint8_t> payload;
-  while (conn.frames.next(payload)) {
-    handle_frame(conn, payload);
+  while (conn.frames.next(payload_)) {
+    handle_frame(conn, payload_);
     if (conns_.count(fd) == 0) return;  // handler dropped the connection
   }
   if (conn.frames.failed()) {

@@ -196,6 +196,7 @@ class ClassifyServer {
   wire::Response rsp_;
   std::vector<engines::MatchResult> results_;
   std::vector<std::uint8_t> read_buf_;
+  std::vector<std::uint8_t> payload_;  // the frame being handled
 
   std::size_t inflight_classify_ = 0;  // loop thread only
   /// Tokens of updates submitted but not yet acked (loop thread only).

@@ -300,16 +300,14 @@ bool ClassifyClient::ping() {
 
 bool ClassifyClient::classify(std::span<const net::HeaderBits> headers,
                               std::vector<std::uint64_t>& best) {
-  wire::Request req;
-  req.op = wire::Op::kClassifyBatch;
-  req.id = next_id_++;
-  req.headers.assign(headers.begin(), headers.end());
-  wire::Response rsp;
-  if (!roundtrip(req, rsp)) return false;
-  if (rsp.best.size() != headers.size()) {
+  batch_req_.op = wire::Op::kClassifyBatch;
+  batch_req_.id = next_id_++;
+  batch_req_.headers.assign(headers.begin(), headers.end());
+  if (!roundtrip(batch_req_, batch_rsp_)) return false;
+  if (batch_rsp_.best.size() != headers.size()) {
     return fail("classify reply count mismatch");
   }
-  best = std::move(rsp.best);
+  best.swap(batch_rsp_.best);
   return true;
 }
 

@@ -81,7 +81,8 @@ class ClassifyClient {
   /// Classifies a batch; fills `best` with global rule indices
   /// (wire::kNoMatch for a miss). False on transport/protocol failure
   /// OR a non-OK status — check status() to tell a SHED from a broken
-  /// connection.
+  /// connection. `best`'s old storage becomes the next reply's buffer,
+  /// so a caller that reuses it allocates nothing per call.
   bool classify(std::span<const net::HeaderBits> headers,
                 std::vector<std::uint64_t>& best);
 
@@ -135,8 +136,11 @@ class ClassifyClient {
   std::uint64_t last_seq_ = 0;
   wire::Status status_ = wire::Status::kOk;
   std::string error_;
+  // Scratch reused across calls; a moved-to client starts them empty.
   std::vector<std::uint8_t> send_buf_;
   std::vector<std::uint8_t> recv_buf_;
+  wire::Request batch_req_;
+  wire::Response batch_rsp_;
   std::mt19937_64 rng_;  // token generation + backoff jitter
 };
 

@@ -1,11 +1,20 @@
 #include "server/wire.h"
 
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "ruleset/rule_codec.h"
 
 namespace rfipc::server::wire {
 namespace {
+
+// A batch of packed headers in memory IS the CLASSIFY_BATCH body: the
+// codec copies it as one block.
+static_assert(sizeof(net::HeaderBits) == kHeaderBytes &&
+              std::is_trivially_copyable_v<net::HeaderBits>);
+// Batch results travel as a block of native u64s on little-endian hosts.
+inline constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
 /// Bounds-checked little-endian write cursor.
 class Writer {
@@ -70,6 +79,7 @@ class Reader {
   }
   bool bytes(void* p, std::size_t n) {
     if (remaining() < n) return false;
+    if (n == 0) return true;  // an empty batch may hand in a null `p`
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
     return true;
@@ -191,7 +201,7 @@ void encode_request(const Request& req, std::vector<std::uint8_t>& out) {
       break;
     case Op::kClassifyBatch:
       w.u32(static_cast<std::uint32_t>(req.headers.size()));
-      for (const auto& h : req.headers) w.bytes(h.bytes().data(), kHeaderBytes);
+      w.bytes(req.headers.data(), req.headers.size() * kHeaderBytes);
       break;
     case Op::kInsertRule:
       w.u64(req.index);
@@ -216,7 +226,11 @@ void encode_response(const Response& rsp, std::vector<std::uint8_t>& out) {
     switch (rsp.op) {
       case Op::kClassifyBatch:
         w.u32(static_cast<std::uint32_t>(rsp.best.size()));
-        for (const std::uint64_t b : rsp.best) w.u64(b);
+        if constexpr (kLittleEndian) {
+          w.bytes(rsp.best.data(), rsp.best.size() * sizeof(std::uint64_t));
+        } else {
+          for (const std::uint64_t b : rsp.best) w.u64(b);
+        }
         break;
       case Op::kStats:
         w.bytes(rsp.text.data(), rsp.text.size());
@@ -267,13 +281,9 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req,
         return false;
       }
       req.headers.resize(count);
-      for (auto& h : req.headers) {
-        std::array<std::uint8_t, kHeaderBytes> raw{};
-        if (!r.bytes(raw.data(), raw.size())) {
-          err = "truncated header";
-          return false;
-        }
-        h = net::HeaderBits::from_bytes(raw);
+      if (!r.bytes(req.headers.data(), std::size_t{count} * kHeaderBytes)) {
+        err = "truncated header";
+        return false;
       }
       return true;
     }
@@ -338,10 +348,17 @@ bool decode_response(std::span<const std::uint8_t> payload, Response& rsp,
         return false;
       }
       rsp.best.resize(count);
-      for (auto& b : rsp.best) {
-        if (!r.u64(b)) {
+      if constexpr (kLittleEndian) {
+        if (!r.bytes(rsp.best.data(), std::size_t{count} * sizeof(std::uint64_t))) {
           err = "truncated result";
           return false;
+        }
+      } else {
+        for (auto& b : rsp.best) {
+          if (!r.u64(b)) {
+            err = "truncated result";
+            return false;
+          }
         }
       }
       return true;

@@ -37,10 +37,14 @@
 //
 // Validation is bounded by construction: a frame's declared length is
 // checked against kMaxFrameBytes BEFORE any buffering beyond the 4-byte
-// prefix, a batch's declared count against kMaxBatch BEFORE any
-// allocation, and every field read is cursor-bounds-checked — a
-// malicious frame can never make the decoder allocate unbounded memory
-// or read out of bounds (test_wire fuzzes this under ASan/UBSan).
+// prefix, a batch's declared count against kMaxBatch and against the
+// body length BEFORE any allocation, and every read goes through a
+// bounds-checked cursor — a malicious frame can never make the decoder
+// allocate unbounded memory or read out of bounds (test_wire fuzzes
+// this under ASan/UBSan). Once those checks pass, a CLASSIFY_BATCH body
+// is copied as one block: count packed headers are byte-identical to
+// count net::HeaderBits, and on little-endian hosts the u64 results are
+// too (big-endian hosts convert per field).
 #pragma once
 
 #include <cstdint>

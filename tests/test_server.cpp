@@ -7,14 +7,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +103,17 @@ class ServerTest : public ::testing::Test {
       srv_->request_drain();
       serving_.join();
     }
+  }
+
+  /// What the in-process classify_batch path answers for `headers`,
+  /// in wire form.
+  std::vector<std::uint64_t> expected_best(std::span<const net::HeaderBits> headers) {
+    std::vector<engines::MatchResult> results(headers.size());
+    classifier_->classify_batch(headers, results,
+                                engines::BatchOptions{.want_multi = false});
+    std::vector<std::uint64_t> best;
+    for (const auto& r : results) best.push_back(r.has_match() ? r.best : wire::kNoMatch);
+    return best;
   }
 
   std::string temp_dir() {
@@ -318,6 +332,113 @@ TEST_F(ServerTest, MalformedFrameDropsConnectionAndCounts) {
   ClassifyClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", srv_->port())) << client.error();
   ASSERT_TRUE(client.ping()) << client.error();
+}
+
+// The reactor stops reading on a short read and relies on the
+// level-triggered epoll to report later bytes, so a request trickling in
+// over many reads and several requests landing in one read must both
+// come out whole and in order.
+TEST_F(ServerTest, FragmentedAndCoalescedRequestsAnswerInOrder) {
+  start();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int one = 1;  // every small write becomes its own segment
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(srv_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  const auto send_all = [&](const std::uint8_t* data, std::size_t size) {
+    std::size_t sent = 0;
+    while (sent < size) {
+      const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  wire::FrameAssembler fa;
+  std::vector<std::uint8_t> payload;
+  const auto expect_reply = [&](std::uint32_t id,
+                                std::span<const net::HeaderBits> headers) {
+    std::string err;
+    std::uint8_t buf[4096];
+    while (!fa.next(payload)) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "connection died before reply " << id;
+      ASSERT_TRUE(fa.feed({buf, static_cast<std::size_t>(n)}, err)) << err;
+    }
+    wire::Response rsp;
+    ASSERT_TRUE(wire::decode_response(payload, rsp, err)) << err;
+    EXPECT_EQ(rsp.id, id);
+    ASSERT_EQ(rsp.status, wire::Status::kOk) << rsp.text;
+    EXPECT_EQ(rsp.best, expected_best(headers)) << "reply " << id;
+  };
+
+  const std::span<const net::HeaderBits> all(headers_);
+  wire::Request req;
+  req.op = wire::Op::kClassifyBatch;
+
+  // 1. One full batch, a few bytes per write with pauses in between.
+  req.id = 1;
+  req.headers = headers_;
+  std::vector<std::uint8_t> out;
+  wire::encode_request(req, out);
+  for (std::size_t pos = 0, step = 0; pos < out.size(); ++step) {
+    const std::size_t len = std::min<std::size_t>(1 + step % 9, out.size() - pos);
+    send_all(out.data() + pos, len);
+    pos += len;
+    if (step % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  expect_reply(1, all);
+
+  // 2. Three frames of different sizes in a single write.
+  const std::span<const net::HeaderBits> parts[3] = {all, all.subspan(0, 1),
+                                                      all.subspan(100, 17)};
+  out.clear();
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    req.id = 2 + i;
+    req.headers.assign(parts[i].begin(), parts[i].end());
+    wire::encode_request(req, out);
+  }
+  send_all(out.data(), out.size());
+  for (std::uint32_t i = 0; i < 3; ++i) expect_reply(2 + i, parts[i]);
+  EXPECT_FALSE(fa.next(payload)) << "no reply beyond the four requests";
+  ::close(fd);
+  EXPECT_EQ(srv_->counters().decode_errors, 0u);
+}
+
+// The client reuses its request/reply buffers across calls: batch sizes
+// that grow and shrink must never leak a stale element, and the
+// buffers must not tie a moved client to its source.
+TEST_F(ServerTest, ClientReusesBuffersAcrossBatchSizes) {
+  start();
+  std::vector<net::HeaderBits> big;
+  while (big.size() < wire::kMaxBatch) {
+    big.insert(big.end(), headers_.begin(), headers_.end());
+  }
+  big.resize(wire::kMaxBatch);
+  const std::span<const net::HeaderBits> all(big);
+
+  ClassifyClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv_->port())) << client.error();
+  std::vector<std::uint64_t> best;
+  const auto check = [&](ClassifyClient& c, std::span<const net::HeaderBits> batch) {
+    ASSERT_TRUE(c.classify(batch, best)) << c.error();
+    EXPECT_EQ(best, expected_best(batch)) << "batch of " << batch.size();
+  };
+  for (const std::size_t n : {std::size_t{256}, std::size_t{1}, std::size_t{17},
+                              wire::kMaxBatch, std::size_t{1}}) {
+    check(client, all.first(n));
+  }
+
+  ClassifyClient moved(std::move(client));
+  check(moved, all.subspan(5, 300));
+  ClassifyClient assigned;
+  assigned = std::move(moved);
+  check(assigned, all.subspan(0, 17));
+  check(assigned, all);
 }
 
 // A journaled server's OK reply carries the journal seq, and the state

@@ -167,6 +167,145 @@ TEST(WireRoundtrip, AllResponseShapes) {
   }
 }
 
+// The exact CLASSIFY_BATCH bytes, length prefix included. The codec
+// copies batch bodies as one block, so a layout or byte-order slip
+// would still round-trip cleanly — only pinned bytes catch it.
+TEST(WireGolden, ClassifyBatchBytes) {
+  const auto tuple = [](std::uint32_t sip, std::uint32_t dip, std::uint16_t sp,
+                        std::uint16_t dp, std::uint8_t prt) {
+    net::FiveTuple t;
+    t.src_ip.value = sip;
+    t.dst_ip.value = dip;
+    t.src_port = sp;
+    t.dst_port = dp;
+    t.protocol = prt;
+    return net::HeaderBits(t);
+  };
+  Request req;
+  req.op = Op::kClassifyBatch;
+  req.id = 0x01020304;
+  req.headers = {tuple(0x0A000001, 0xC0A80102, 0x1234, 80, 6),
+                 tuple(0xFFFFFFFF, 0, 0xFFFF, 0, 17),
+                 tuple(0x7F000001, 0x08080808, 53, 0xABCD, 1)};
+  const std::vector<std::uint8_t> req_golden = {
+      51, 0, 0, 0,                                      // payload_len
+      2, 1, 0, 0, 0x04, 0x03, 0x02, 0x01,               // v2, op, status, id
+      3, 0, 0, 0,                                       // count
+      0x0A, 0x00, 0x00, 0x01, 0xC0, 0xA8, 0x01, 0x02,   // SIP DIP
+      0x12, 0x34, 0x00, 0x50, 0x06,                     // SP DP PRT
+      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0x00, 0x00, 0x11,
+      0x7F, 0x00, 0x00, 0x01, 0x08, 0x08, 0x08, 0x08,
+      0x00, 0x35, 0xAB, 0xCD, 0x01};
+  std::vector<std::uint8_t> frame;
+  encode_request(req, frame);
+  EXPECT_EQ(frame, req_golden);
+  Request req_back;
+  std::string err;
+  ASSERT_TRUE(decode_request(payload_of(req_golden), req_back, err)) << err;
+  EXPECT_EQ(req_back.id, req.id);
+  EXPECT_EQ(req_back.headers, req.headers);
+
+  Response rsp;
+  rsp.op = Op::kClassifyBatch;
+  rsp.id = 0x0A0B0C0D;
+  rsp.best = {0, 0x0102030405060708ull, kNoMatch};
+  const std::vector<std::uint8_t> rsp_golden = {
+      36, 0, 0, 0,                                      // payload_len
+      2, 1, 0, 0, 0x0D, 0x0C, 0x0B, 0x0A,               // v2, op, OK, id
+      3, 0, 0, 0,                                       // count
+      0, 0, 0, 0, 0, 0, 0, 0,                           // u64le results
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  frame.clear();
+  encode_response(rsp, frame);
+  EXPECT_EQ(frame, rsp_golden);
+  Response rsp_back;
+  ASSERT_TRUE(decode_response(payload_of(rsp_golden), rsp_back, err)) << err;
+  EXPECT_EQ(rsp_back.id, rsp.id);
+  EXPECT_EQ(rsp_back.best, rsp.best);
+}
+
+TEST(WireRoundtrip, ClassifyBatchCounts) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{255},
+                                  std::size_t{256}, kMaxBatch}) {
+    Request req;
+    req.op = Op::kClassifyBatch;
+    req.id = static_cast<std::uint32_t>(count);
+    Response rsp;
+    rsp.op = Op::kClassifyBatch;
+    rsp.id = req.id;
+    for (std::size_t i = 0; i < count; ++i) {
+      req.headers.push_back(sample_header(static_cast<std::uint32_t>(i)));
+      rsp.best.push_back(i % 5 == 0 ? kNoMatch : i * 0x0101010101ull);
+    }
+    std::vector<std::uint8_t> frame;
+    encode_request(req, frame);
+    ASSERT_EQ(frame.size(), kLenPrefixBytes + kMsgHeaderBytes + 4 + count * kHeaderBytes);
+    Request req_back;
+    req_back.headers.resize(3);  // stale contents must not survive
+    std::string err;
+    ASSERT_TRUE(decode_request(payload_of(frame), req_back, err)) << count << ": " << err;
+    EXPECT_EQ(req_back.headers, req.headers) << count;
+
+    frame.clear();
+    encode_response(rsp, frame);
+    ASSERT_EQ(frame.size(), kLenPrefixBytes + kMsgHeaderBytes + 4 + count * 8);
+    Response rsp_back;
+    rsp_back.best.resize(3);
+    ASSERT_TRUE(decode_response(payload_of(frame), rsp_back, err)) << count << ": " << err;
+    EXPECT_EQ(rsp_back.best, rsp.best) << count;
+  }
+}
+
+TEST(WireMalformed, ClassifyBatchBoundsRejected) {
+  std::string err;
+  {  // one past kMaxBatch, fully backed by body bytes: still refused
+    Request req;
+    req.op = Op::kClassifyBatch;
+    req.headers.resize(kMaxBatch + 1);
+    std::vector<std::uint8_t> frame;
+    encode_request(req, frame);
+    Request back;
+    EXPECT_FALSE(decode_request(payload_of(frame), back, err));
+    EXPECT_NE(err.find("exceeds max"), std::string::npos);
+
+    Response rsp;
+    rsp.op = Op::kClassifyBatch;
+    rsp.best.resize(kMaxBatch + 1);
+    frame.clear();
+    encode_response(rsp, frame);
+    Response rback;
+    EXPECT_FALSE(decode_response(payload_of(frame), rback, err));
+    EXPECT_EQ(err, "result length mismatch");
+  }
+  Request req;
+  req.op = Op::kClassifyBatch;
+  for (std::uint32_t i = 0; i < 3; ++i) req.headers.push_back(sample_header(i));
+  std::vector<std::uint8_t> frame;
+  encode_request(req, frame);
+  const auto req_payload = payload_of(frame);
+  Response rsp;
+  rsp.op = Op::kClassifyBatch;
+  rsp.best = {1, 2, 3};
+  frame.clear();
+  encode_response(rsp, frame);
+  const auto rsp_payload = payload_of(frame);
+  for (const int delta : {-1, +1}) {  // body of count * size +- 1 bytes
+    auto p = req_payload;
+    p.resize(p.size() + static_cast<std::size_t>(delta), 0);
+    Request back;
+    EXPECT_FALSE(decode_request(p, back, err)) << delta;
+    EXPECT_EQ(err, "batch length mismatch");
+
+    auto q = rsp_payload;
+    q.resize(q.size() + static_cast<std::size_t>(delta), 0);
+    Response rback;
+    EXPECT_FALSE(decode_response(q, rback, err)) << delta;
+    EXPECT_EQ(err, "result length mismatch");
+  }
+}
+
 TEST(FrameAssembler, ReassemblesByteByByte) {
   Request req;
   req.op = Op::kClassifyBatch;
