@@ -5,7 +5,10 @@
 // by standing a ClassifyServer up on loopback and driving it with
 // concurrent blocking clients (one request in flight per connection,
 // concurrency comes from connection count). Reported per configuration:
-// aggregate Mpkt/s and the client-observed request RTT p50/p99. The
+// aggregate Mpkt/s and the client-observed request RTT p50/p99, each the
+// median of kReps timed repetitions after one warm-up repetition, with
+// the throughput's min-max beside it (repetitions interleave the rows,
+// so slow spells of a shared host spread over all of them). The
 // functional check replays one client batch against the in-process
 // classifier and requires identical best indices — the wire path must
 // not change a single decision.
@@ -14,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +42,30 @@ struct LoadResult {
   std::uint64_t requests = 0;
   std::uint64_t failures = 0;
 };
+
+/// Median and range of one row's repetitions.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread spread(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  s.min = v.front();
+  s.max = v.back();
+  const std::size_t mid = v.size() / 2;
+  s.median = v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+  return s;
+}
+
+std::string fixed(double v, int digits) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
+  return buf;
+}
 
 double percentile(std::vector<double>& v, double p) {
   if (v.empty()) return 0;
@@ -161,7 +189,9 @@ int main() {
   constexpr std::size_t kRules = 512;
   constexpr std::size_t kPackets = 8192;
   constexpr std::size_t kBatch = 512;
-  constexpr double kSeconds = 1.5;
+  constexpr double kSeconds = 0.5;  // per row and repetition
+  constexpr int kReps = 5;          // timed repetitions, after one warm-up
+  constexpr std::size_t kConns[] = {1, 2, 4};
 
   const auto rules = ruleset::generate_firewall(kRules, 2013);
   ruleset::TraceConfig tcfg;
@@ -180,11 +210,11 @@ int main() {
 
   // In-process baseline: what the runtime does before any socket.
   std::vector<engines::MatchResult> results(kPackets);
-  double inproc_rate = 0;
-  {
+  const auto inproc_pass = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t done = 0;
-    while (std::chrono::steady_clock::now() - t0 < std::chrono::duration<double>(1.0)) {
+    while (std::chrono::steady_clock::now() - t0 <
+           std::chrono::duration<double>(kSeconds)) {
       for (std::size_t off = 0; off + kBatch <= kPackets; off += kBatch) {
         classifier.classify_batch(
             std::span<const net::HeaderBits>(headers).subspan(off, kBatch),
@@ -193,11 +223,11 @@ int main() {
         done += kBatch;
       }
     }
-    inproc_rate =
-        static_cast<double>(done) /
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() /
-        1e6;
-  }
+    return static_cast<double>(done) /
+           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+               .count() /
+           1e6;
+  };
 
   server::ClassifyServer srv(classifier, server::ServerConfig{});
   std::thread serving([&srv] { srv.run(); });
@@ -222,30 +252,42 @@ int main() {
     }
   }
 
-  util::TextTable table(
-      {"configuration", "Mpkt/s | Kupd/s", "wire tax", "p50 RTT (us)", "p99 RTT (us)"});
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f", inproc_rate);
-  table.add_row({"in-process batch " + std::to_string(kBatch), buf, "1.00x", "-", "-"});
-
+  // Repetition 0 warms caches, workers and connections and is dropped.
+  std::vector<double> inproc_rates;
+  std::vector<double> wire_rates[std::size(kConns)];
+  std::vector<double> wire_p50[std::size(kConns)];
+  std::vector<double> wire_p99[std::size(kConns)];
   std::uint64_t total_failures = 0;
+  for (int rep = 0; rep <= kReps; ++rep) {
+    const double inproc = inproc_pass();
+    if (rep > 0) inproc_rates.push_back(inproc);
+    for (std::size_t i = 0; i < std::size(kConns); ++i) {
+      const LoadResult r = drive(srv.port(), headers, kConns[i], kBatch, kSeconds);
+      total_failures += r.failures;
+      if (rep == 0) continue;
+      wire_rates[i].push_back(r.mpkts);
+      wire_p50[i].push_back(r.p50_us);
+      wire_p99[i].push_back(r.p99_us);
+    }
+  }
+
+  util::TextTable table({"configuration", "Mpkt/s | Kupd/s", "wire tax", "p50 RTT (us)",
+                         "p99 RTT (us)", "Mpkt/s min-max"});
+  const Spread inproc = spread(inproc_rates);
+  table.add_row({"in-process batch " + std::to_string(kBatch), fixed(inproc.median, 2),
+                 "1.00x", "-", "-",
+                 fixed(inproc.min, 2) + "-" + fixed(inproc.max, 2)});
   double best_wire_rate = 0;
-  for (const std::size_t conns : {1u, 2u, 4u}) {
-    const LoadResult r = drive(srv.port(), headers, conns, kBatch, kSeconds);
-    total_failures += r.failures;
-    best_wire_rate = std::max(best_wire_rate, r.mpkts);
-    char rate[32];
-    char tax[32];
-    char p50[32];
-    char p99[32];
-    std::snprintf(rate, sizeof(rate), "%.2f", r.mpkts);
-    std::snprintf(tax, sizeof(tax), "%.2fx",
-                  inproc_rate > 0 ? r.mpkts / inproc_rate : 0.0);
-    std::snprintf(p50, sizeof(p50), "%.0f", r.p50_us);
-    std::snprintf(p99, sizeof(p99), "%.0f", r.p99_us);
-    table.add_row({"wire " + std::to_string(conns) + " conn x batch " +
-                   std::to_string(kBatch),
-               rate, tax, p50, p99});
+  for (std::size_t i = 0; i < std::size(kConns); ++i) {
+    const Spread rate = spread(wire_rates[i]);
+    best_wire_rate = std::max(best_wire_rate, rate.median);
+    table.add_row({"wire " + std::to_string(kConns[i]) + " conn x batch " +
+                       std::to_string(kBatch),
+                   fixed(rate.median, 2),
+                   fixed(inproc.median > 0 ? rate.median / inproc.median : 0.0, 2) + "x",
+                   fixed(spread(wire_p50[i]).median, 0),
+                   fixed(spread(wire_p99[i]).median, 0),
+                   fixed(rate.min, 2) + "-" + fixed(rate.max, 2)});
   }
 
   srv.request_drain();
@@ -309,13 +351,8 @@ int main() {
 
     updates_clean = updates_clean && u.failures == 0 && u.ops > 0 &&
                     u.last_seq == u.ops;
-    char rate[32];
-    char p50[32];
-    char p99[32];
-    std::snprintf(rate, sizeof(rate), "%.2f", u.kupd_s);
-    std::snprintf(p50, sizeof(p50), "%.0f", u.p50_us);
-    std::snprintf(p99, sizeof(p99), "%.0f", u.p99_us);
-    table.add_row({std::string("update fsync=") + name, rate, "-", p50, p99});
+    table.add_row({std::string("update fsync=") + name, fixed(u.kupd_s, 2), "-",
+                   fixed(u.p50_us, 0), fixed(u.p99_us, 0), "-"});
 
     log.reset();
     std::filesystem::remove_all(dir);

@@ -56,7 +56,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 LARGE_N="${RFIPC_LARGE_N:-16384}"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
-cmake --build "${BUILD_DIR}" -j --target bench_runtime_batch bench_server bench_large_n bench_expansion bench_capture
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_runtime_batch bench_server bench_large_n bench_expansion bench_capture
 
 workdir="${BUILD_DIR}/bench-smoke"
 mkdir -p "${workdir}"

@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
-cmake --build "${BUILD_DIR}" -j --target trace_tool capture_gateway rfipcd rfipc_client
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target trace_tool capture_gateway rfipcd rfipc_client
 
 workdir="${BUILD_DIR}/capture-smoke"
 mkdir -p "${workdir}"

@@ -23,9 +23,11 @@ run() {
   shift 2
   echo "== ${dir} (RFIPC_SANITIZE='${sanitize}') =="
   cmake -B "${dir}" -S . -DRFIPC_SANITIZE="${sanitize}" "${CMAKE_ARGS[@]}" >/dev/null
-  cmake --build "${dir}" -j "$@"
-  # -j needs an explicit value: a bare "-j" would swallow the next
-  # CTEST_ARGS element (e.g. -R) as its argument.
+  # Both -j flags take an explicit value: a bare "cmake --build -j"
+  # runs unbounded jobs (enough compilers to exhaust a small machine's
+  # memory), and a bare ctest "-j" would swallow the next CTEST_ARGS
+  # element (e.g. -R) as its argument.
+  cmake --build "${dir}" -j "$(nproc)" "$@"
   (cd "${dir}" && ctest --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}")
 }
 

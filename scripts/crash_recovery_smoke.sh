@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
-cmake --build "${BUILD_DIR}" -j --target rfipcd crash_chaos
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target rfipcd crash_chaos
 
 RULES=64
 SEED=7

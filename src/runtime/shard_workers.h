@@ -19,7 +19,8 @@
 //   dispatcher merges per-worker results itself once it hits zero.
 // * Wait policy: kBlock (default) parks idle workers on a per-worker
 //   condvar after a short spin and parks the dispatcher on a shared
-//   completion condvar — right for servers sharing cores. kBusyPoll
+//   completion condvar — right for servers sharing cores (the epoll
+//   reactor and ClassifyClient wait the same way, util/spin.h). kBusyPoll
 //   spins with cpu_relax() on both sides — opt-in for latency benches
 //   that own their cores.
 // * Pinning is opt-in and best effort (util/affinity.h): workers pin

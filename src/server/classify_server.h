@@ -11,6 +11,12 @@
 // after the snapshot containing its update has been published, and a
 // classify issued after that reply can never see a pre-update decision.
 //
+// The reactor spins briefly before it parks (EventLoop: up to
+// util::spin_budget(), 50 us, after each dispatch round, zero on a
+// single allowed CPU), as do ClassifyClient's reply waits, so a loaded
+// round trip avoids two sleep/wake hand-offs; an idle server still
+// sleeps, spending at most one budget per maintenance tick.
+//
 // Production behaviors, all first-class:
 //
 // * Write backpressure — replies go into a bounded per-connection

@@ -8,10 +8,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
 #include <utility>
+
+#include "util/spin.h"
 
 namespace rfipc::server {
 namespace {
@@ -20,6 +23,10 @@ bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
+
+/// The first recv of a reply asks for this much (or the largest frame
+/// seen so far), so a reply that has arrived whole takes one recv.
+constexpr std::size_t kRecvInitialBytes = 4096;
 
 }  // namespace
 
@@ -36,6 +43,7 @@ ClassifyClient::~ClassifyClient() { close(); }
 ClassifyClient::ClassifyClient(ClassifyClient&& other) noexcept
     : opts_(other.opts_),
       fd_(std::exchange(other.fd_, -1)),
+      spin_budget_(other.spin_budget_),
       host_(std::move(other.host_)),
       port_(other.port_),
       ever_connected_(other.ever_connected_),
@@ -50,6 +58,7 @@ ClassifyClient& ClassifyClient::operator=(ClassifyClient&& other) noexcept {
     close();
     opts_ = other.opts_;
     fd_ = std::exchange(other.fd_, -1);
+    spin_budget_ = other.spin_budget_;
     host_ = std::move(other.host_);
     port_ = other.port_;
     ever_connected_ = other.ever_connected_;
@@ -141,6 +150,7 @@ bool ClassifyClient::connect_once(Clock::time_point deadline) {
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  spin_budget_ = util::spin_budget();
   ever_connected_ = true;
   error_.clear();
   return true;
@@ -175,35 +185,54 @@ bool ClassifyClient::send_all(const std::uint8_t* data, std::size_t size,
   return true;
 }
 
-bool ClassifyClient::recv_exact(std::uint8_t* dst, std::size_t want,
-                                Clock::time_point deadline) {
-  std::size_t got = 0;
-  while (got < want) {
-    const ssize_t n = ::recv(fd_, dst + got, want - got, MSG_DONTWAIT);
+bool ClassifyClient::recv_at_least(std::uint8_t* dst, std::size_t min,
+                                   std::size_t max, std::size_t& got,
+                                   Clock::time_point deadline) {
+  Clock::time_point spin_until{};
+  while (got < min) {
+    const ssize_t n = ::recv(fd_, dst + got, max - got, MSG_DONTWAIT);
     if (n > 0) {
       got += static_cast<std::size_t>(n);
       continue;
     }
-    if (n == 0) return false;  // orderly close mid-frame
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (wait_io(POLLIN, deadline)) continue;
-      errno = ETIMEDOUT;
+    if (n == 0) {
+      errno = 0;  // orderly close mid-frame
       return false;
     }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    // Spin-then-park: retry for up to one spin budget, never past the
+    // deadline, before sleeping in poll().
+    if (spin_budget_.count() > 0) {
+      const auto now = Clock::now();
+      if (spin_until == Clock::time_point{}) {
+        spin_until = std::min(now + spin_budget_, deadline);
+      }
+      if (now < spin_until) {
+        util::spin_pause();
+        continue;
+      }
+    }
+    if (wait_io(POLLIN, deadline)) continue;
+    errno = ETIMEDOUT;
     return false;
   }
   return true;
 }
 
-bool ClassifyClient::recv_frame(std::vector<std::uint8_t>& payload,
+bool ClassifyClient::recv_frame(std::span<const std::uint8_t>& payload,
                                 Clock::time_point deadline) {
-  std::uint8_t prefix[wire::kLenPrefixBytes];
-  if (!recv_exact(prefix, sizeof(prefix), deadline)) {
+  // recv_buf_ only grows, so after the first reply of a given size the
+  // prefix and body of the next one arrive in a single recv.
+  if (recv_buf_.size() < kRecvInitialBytes) recv_buf_.resize(kRecvInitialBytes);
+  std::size_t got = 0;
+  if (!recv_at_least(recv_buf_.data(), wire::kLenPrefixBytes, recv_buf_.size(), got,
+                     deadline)) {
     const bool timed_out = errno == ETIMEDOUT;
     close();
     return fail(timed_out ? "recv: timed out" : "recv: connection closed or failed");
   }
+  const std::uint8_t* prefix = recv_buf_.data();
   const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
                             static_cast<std::uint32_t>(prefix[1]) << 8 |
                             static_cast<std::uint32_t>(prefix[2]) << 16 |
@@ -212,12 +241,19 @@ bool ClassifyClient::recv_frame(std::vector<std::uint8_t>& payload,
     close();
     return fail("recv: frame length out of bounds");
   }
-  payload.resize(len);
-  if (!recv_exact(payload.data(), len, deadline)) {
+  const std::size_t frame = wire::kLenPrefixBytes + len;
+  if (got > frame) {
+    // One request is in flight, so nothing may follow its reply.
+    close();
+    return fail("recv: unsolicited bytes after the reply");
+  }
+  if (recv_buf_.size() < frame) recv_buf_.resize(frame);
+  if (!recv_at_least(recv_buf_.data(), frame, frame, got, deadline)) {
     const bool timed_out = errno == ETIMEDOUT;
     close();
     return fail(timed_out ? "recv: timed out" : "recv: truncated frame");
   }
+  payload = std::span<const std::uint8_t>(recv_buf_).subspan(wire::kLenPrefixBytes, len);
   return true;
 }
 
@@ -228,9 +264,10 @@ bool ClassifyClient::roundtrip_once(const wire::Request& req, wire::Response& rs
   send_buf_.clear();
   wire::encode_request(req, send_buf_);
   if (!send_all(send_buf_.data(), send_buf_.size(), deadline)) return false;
-  if (!recv_frame(recv_buf_, deadline)) return false;
+  std::span<const std::uint8_t> payload;
+  if (!recv_frame(payload, deadline)) return false;
   std::string err;
-  if (!wire::decode_response(recv_buf_, rsp, err)) {
+  if (!wire::decode_response(payload, rsp, err)) {
     close();
     return fail("bad response: " + err);
   }

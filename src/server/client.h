@@ -22,6 +22,17 @@
 //   instead of double-applying; last_seq() exposes the journal
 //   sequence number the server acked (0 on journal-less servers).
 //
+// * Spin-then-park replies — after sending, a recv that finds nothing
+//   is retried (spin_pause() between tries) until util::spin_budget()
+//   (50 us) has passed, never past the request deadline; only then
+//   does the client sleep in poll(). A loopback reply usually lands
+//   inside the budget, so the round trip skips a sleep/wake hand-off.
+//   The budget is read at connect and is zero when the connecting
+//   thread may run on only one CPU. The first recv of a reply asks for
+//   the whole receive buffer (which only grows, to the largest reply
+//   seen), so a reply that arrived whole costs one recv for prefix and
+//   body together; bytes past the reply frame fail the call.
+//
 // Retry safety: PING/CLASSIFY_BATCH/STATS are read-only and always
 // safe to retry; updates are safe because of the token. kBadRequest /
 // kError replies are NOT retried — the server understood and refused.
@@ -118,8 +129,13 @@ class ClassifyClient {
   bool connect_once(Clock::time_point deadline);
   bool send_all(const std::uint8_t* data, std::size_t size,
                 Clock::time_point deadline);
-  bool recv_exact(std::uint8_t* dst, std::size_t want, Clock::time_point deadline);
-  bool recv_frame(std::vector<std::uint8_t>& payload, Clock::time_point deadline);
+  /// Receives into dst[got, max) until `got` >= `min`, spinning up to
+  /// spin_budget_ (never past `deadline`) before each poll() wait.
+  /// False with errno ETIMEDOUT on the deadline, 0 on orderly close.
+  bool recv_at_least(std::uint8_t* dst, std::size_t min, std::size_t max,
+                     std::size_t& got, Clock::time_point deadline);
+  /// Receives one reply frame into recv_buf_; `payload` views its body.
+  bool recv_frame(std::span<const std::uint8_t>& payload, Clock::time_point deadline);
   /// poll() for `events`, bounded by `deadline`. False on timeout/error.
   bool wait_io(short events, Clock::time_point deadline);
   void backoff_sleep(std::uint32_t attempt);
@@ -129,6 +145,8 @@ class ClassifyClient {
 
   ClientOptions opts_;
   int fd_ = -1;
+  /// util::spin_budget() as read by the connecting thread.
+  std::chrono::nanoseconds spin_budget_{0};
   std::string host_;
   std::uint16_t port_ = 0;
   bool ever_connected_ = false;

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "util/spin.h"
+
 namespace rfipc::server {
 namespace {
 
@@ -123,13 +125,23 @@ void EventLoop::add_notifier(Notifier& n, std::function<void()> cb) {
 }
 
 void EventLoop::run() {
+  using Clock = std::chrono::steady_clock;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
+  const auto budget = util::spin_budget();
+  // Spin-then-park: until `budget` has passed since the last dispatched
+  // event, poll without blocking; after that, sleep in epoll_wait(-1).
+  Clock::time_point spin_until{};
   while (!stopping()) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const bool spin = budget.count() > 0 && Clock::now() < spin_until;
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, spin ? 0 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
+    }
+    if (n == 0) {
+      util::spin_pause();
+      continue;
     }
     in_dispatch_ = true;
     removed_in_batch_.clear();
@@ -147,6 +159,7 @@ void EventLoop::run() {
       cb(from_epoll(events[i].events));
     }
     in_dispatch_ = false;
+    if (budget.count() > 0) spin_until = Clock::now() + budget;
   }
 }
 

@@ -12,6 +12,18 @@ std::size_t hardware_core_count() {
   return hw == 0 ? 1 : hw;
 }
 
+std::size_t allowed_cpu_count() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    return n > 0 ? static_cast<std::size_t>(n) : 1;
+  }
+#endif
+  return hardware_core_count();
+}
+
 std::size_t parallel_lanes(std::size_t items, std::size_t budget,
                            std::size_t reserved) {
   if (budget == 0) budget = hardware_core_count();

@@ -26,6 +26,11 @@ namespace rfipc::util {
 /// permits 0 for "unknown").
 std::size_t hardware_core_count();
 
+/// CPUs the calling thread's affinity mask allows (sched_getaffinity;
+/// threads inherit the mask of the thread that created them), or
+/// hardware_core_count() where the platform has no such mask.
+std::size_t allowed_cpu_count();
+
 /// How many lanes of `items` work a subsystem may run concurrently:
 /// min(items, budget - reserved), clamped to >= 1. `budget` == 0 means
 /// hardware_core_count(); `reserved` counts co-resident threads

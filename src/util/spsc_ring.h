@@ -20,19 +20,9 @@
 #include <utility>
 #include <vector>
 
-namespace rfipc::util {
+#include "util/spin.h"
 
-/// Spin-wait hint for busy-poll loops: de-prioritizes the hyperthread
-/// and saves power without giving up the core.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
+namespace rfipc::util {
 
 template <typename T>
 class SpscRing {

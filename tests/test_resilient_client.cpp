@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -74,6 +75,10 @@ class FakePeer {
   static void send_response(int conn, const wire::Response& rsp) {
     std::vector<std::uint8_t> out;
     wire::encode_response(rsp, out);
+    send_bytes(conn, out);
+  }
+
+  static void send_bytes(int conn, std::span<const std::uint8_t> out) {
     std::size_t sent = 0;
     while (sent < out.size()) {
       const ssize_t n =
@@ -277,6 +282,107 @@ TEST(ResilientClient, ShedIsRetriedUntilOk) {
   ClassifyClient client(opts);
   ASSERT_TRUE(client.connect("127.0.0.1", peer.port())) << client.error();
   EXPECT_TRUE(client.ping()) << client.error();
+  server.join();
+}
+
+// A reply that comes long after the client's spin budget (50 us) ran
+// out must still be received: the client falls back to poll() and
+// wakes when it lands. The second reply arrives in two parts, its body
+// as late as its prefix, so both reads of a frame park and wake.
+TEST(ResilientClient, ReplyLongAfterSpinBudgetIsReceived) {
+  FakePeer peer;
+  peer.listen(4);
+  constexpr auto kDelay = std::chrono::milliseconds(20);
+
+  std::thread server([&peer, kDelay] {
+    const int conn = peer.accept_one();
+    std::vector<std::uint8_t> payload;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(FakePeer::read_frame(conn, payload));
+      wire::Request req;
+      std::string err;
+      ASSERT_TRUE(wire::decode_request(payload, req, err)) << err;
+      std::vector<std::uint8_t> out;
+      wire::encode_response(wire::Response{req.op, wire::Status::kOk, req.id, {}, 0, {}},
+                            out);
+      std::this_thread::sleep_for(kDelay);
+      if (i == 0) {
+        FakePeer::send_bytes(conn, out);
+      } else {
+        FakePeer::send_bytes(conn, std::span(out).first(wire::kLenPrefixBytes));
+        std::this_thread::sleep_for(kDelay);
+        FakePeer::send_bytes(conn, std::span(out).subspan(wire::kLenPrefixBytes));
+      }
+    }
+  });
+
+  ClientOptions opts;
+  opts.request_timeout_ms = 2000;
+  opts.max_retries = 0;
+  opts.auto_reconnect = false;
+  ClassifyClient client(opts);
+  ASSERT_TRUE(client.connect("127.0.0.1", peer.port())) << client.error();
+  auto t0 = Clock::now();
+  EXPECT_TRUE(client.ping()) << client.error();
+  EXPECT_GE(elapsed_ms(t0), 19u);
+  t0 = Clock::now();
+  EXPECT_TRUE(client.ping()) << client.error();
+  EXPECT_GE(elapsed_ms(t0), 39u);
+  server.join();
+}
+
+// A peer that never answers (its accept queue completes the handshake
+// and buffers the request): the spin before the poll() wait must not
+// stretch the call past request_timeout_ms, even when the deadline is
+// hardly longer than the spin itself.
+TEST(ResilientClient, SilentPeerFailsAtRequestDeadline) {
+  FakePeer peer;
+  peer.listen(4);
+  for (const std::uint32_t timeout_ms : {1u, 30u}) {
+    ClientOptions opts;
+    opts.request_timeout_ms = timeout_ms;
+    opts.max_retries = 0;
+    opts.auto_reconnect = false;
+    ClassifyClient client(opts);
+    ASSERT_TRUE(client.connect("127.0.0.1", peer.port())) << client.error();
+    const auto t0 = Clock::now();
+    EXPECT_FALSE(client.ping());
+    const auto ms = elapsed_ms(t0);
+    EXPECT_GE(ms + 1, timeout_ms);
+    EXPECT_LT(ms, timeout_ms + 500) << "the wait overran request_timeout_ms";
+    EXPECT_NE(client.error().find("timed out"), std::string::npos) << client.error();
+  }
+}
+
+// One request is in flight, so bytes after its reply frame are a
+// protocol violation. The client reads a whole reply, and whatever
+// follows it, in one recv; it must refuse the call rather than keep the
+// stray bytes for the next reply.
+TEST(ResilientClient, BytesAfterTheReplyFailTheCall) {
+  FakePeer peer;
+  peer.listen(4);
+  std::thread server([&peer] {
+    const int conn = peer.accept_one();
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(FakePeer::read_frame(conn, payload));
+    wire::Request req;
+    std::string err;
+    ASSERT_TRUE(wire::decode_request(payload, req, err)) << err;
+    std::vector<std::uint8_t> out;
+    const wire::Response pong{req.op, wire::Status::kOk, req.id, {}, 0, {}};
+    wire::encode_response(pong, out);
+    wire::encode_response(pong, out);  // a second, unsolicited frame
+    FakePeer::send_bytes(conn, out);   // one segment: both land at once
+  });
+
+  ClientOptions opts;
+  opts.max_retries = 0;
+  opts.auto_reconnect = false;
+  ClassifyClient client(opts);
+  ASSERT_TRUE(client.connect("127.0.0.1", peer.port())) << client.error();
+  EXPECT_FALSE(client.ping());
+  EXPECT_NE(client.error().find("unsolicited"), std::string::npos) << client.error();
+  EXPECT_FALSE(client.connected());
   server.join();
 }
 

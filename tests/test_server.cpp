@@ -8,7 +8,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "runtime/sharded_classifier.h"
 #include "server/classify_server.h"
 #include "server/client.h"
+#include "util/spin.h"
 
 namespace rfipc::server {
 namespace {
@@ -552,6 +556,104 @@ TEST_F(ServerTest, DrainRefusesNewConnectionsAndStops) {
   EXPECT_FALSE(late.connect("127.0.0.1", srv_->port()));
   srv_.reset();
   srv_ = nullptr;  // TearDown: nothing left to drain
+}
+
+/// CPU time the thread behind `handle` has used so far.
+std::chrono::nanoseconds thread_cpu_time(pthread_t handle) {
+  clockid_t cid{};
+  EXPECT_EQ(pthread_getcpuclockid(handle, &cid), 0);
+  timespec ts{};
+  EXPECT_EQ(clock_gettime(cid, &ts), 0);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+// The reactor spins for at most one budget after its last event, then
+// parks in epoll_wait: an idle server costs (almost) no CPU even though
+// a loaded one polls. Only the 100 ms maintenance tick and the spin
+// after it run in the idle window.
+TEST_F(ServerTest, IdleReactorParksAfterBurst) {
+  start();
+  ClassifyClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv_->port())) << client.error();
+  std::vector<std::uint64_t> best;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(client.classify(headers_, best)) << client.error();
+  }
+
+  constexpr auto kWindow = std::chrono::milliseconds(300);
+  const auto cpu0 = thread_cpu_time(serving_.native_handle());
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(kWindow);
+  const auto cpu = thread_cpu_time(serving_.native_handle()) - cpu0;
+  const auto wall = std::chrono::steady_clock::now() - wall0;
+  EXPECT_LT(cpu * 10, wall) << "reactor used "
+                            << std::chrono::duration<double, std::milli>(cpu).count()
+                            << " ms of CPU in an idle "
+                            << std::chrono::duration<double, std::milli>(wall).count()
+                            << " ms window";
+  ASSERT_TRUE(client.ping()) << client.error();  // still serving after parking
+}
+
+/// Restricts the calling thread (and the threads it starts) to one CPU
+/// for its lifetime, restoring the old mask after.
+class OneCpu {
+ public:
+  OneCpu() {
+    CPU_ZERO(&saved_);
+    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    if (!ok_) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    ok_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~OneCpu() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+  bool ok() const { return ok_; }
+  std::size_t saved_count() const { return static_cast<std::size_t>(CPU_COUNT(&saved_)); }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+// On one allowed CPU a spinner would hold the CPU its peer needs, so
+// the budget is zero: reactor and client park at once, and every
+// request type still round-trips.
+TEST_F(ServerTest, SingleCpuAffinityZeroesSpinBudget) {
+  std::size_t cpus = 0;
+  {
+    OneCpu pin;
+    ASSERT_TRUE(pin.ok());
+    cpus = pin.saved_count();
+    EXPECT_EQ(util::allowed_cpu_count(), 1u);
+    EXPECT_EQ(util::spin_budget(), std::chrono::nanoseconds::zero());
+
+    start();  // reactor, waiter and shard workers inherit the mask
+    ClassifyClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", srv_->port())) << client.error();
+    ASSERT_TRUE(client.ping()) << client.error();
+    std::vector<std::uint64_t> best;
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(client.classify(headers_, best)) << client.error();
+      EXPECT_EQ(best, expected_best(headers_));
+    }
+    ASSERT_TRUE(client.insert_rule(0, rules_[kRules - 1])) << client.error();
+    ASSERT_TRUE(client.erase_rule(0)) << client.error();
+    stop();
+  }
+  if (cpus > 1) {
+    EXPECT_EQ(util::spin_budget(), util::kSpinBudget);
+  }
 }
 
 }  // namespace
