@@ -83,5 +83,5 @@ int main() {
   }
   bench::check("StrideBV and StrideBV-RE classify identically", equal,
                "3000-header trace, 60% range rules");
-  return 0;
+  return bench::exit_code();
 }

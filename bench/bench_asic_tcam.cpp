@@ -56,5 +56,5 @@ int main() {
                asic512.mw_per_gbps < ftcam512.power.mw_per_gbps,
                util::fmt_double(asic512.mw_per_gbps, 1) + " vs " +
                    util::fmt_double(ftcam512.power.mw_per_gbps, 1) + " mW/Gbps at N=512");
-  return 0;
+  return bench::exit_code();
 }

@@ -253,6 +253,6 @@ int main() {
                "wire baseline alive");
   bench::check("inline capture sustains >= 2x the wire-protocol rate",
                best_capture >= 2.0 * wire_rate, detail);
-  return 0;
+  return bench::exit_code();
 #endif
 }

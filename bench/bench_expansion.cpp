@@ -9,7 +9,7 @@
 // lowered both ways via ruleset::lowering::expansion_report — then the
 // REAL engines are built from the re-parsed rules and report what they
 // actually stored (TCAM / plain StrideBV pay the cross product;
-// linear, stridebv:4i, and the tuple-space prefilter store one entry
+// linear, stridebv-re:4, and the tuple-space prefilter store one entry
 // per rule). A differential pass over a generated trace pins every
 // factory engine plus the sharded runtime to the golden linear answer,
 // so the text round trip is proven lossless where it matters: the
@@ -102,7 +102,7 @@ int main() {
   };
   const EngineRow kRows[] = {
       {"tcam", "prefix-expand"},       {"stridebv:4", "prefix-expand"},
-      {"linear", "interval-native"},   {"stridebv:4i", "interval-native"},
+      {"linear", "interval-native"},   {"stridebv-re:4", "interval-native"},
       {"prefilter(linear)", "interval-native"},
   };
   std::size_t tcam_entries = 0;
@@ -134,11 +134,11 @@ int main() {
   // The headline gate: interval-native storage must beat the prefix
   // cross product by >= 4x on a range-heavy ruleset, both in the
   // lowering model and in the built engines (TCAM really stored the
-  // expanded entries; stridebv:4i really stored one per rule).
+  // expanded entries; stridebv-re:4 really stored one per rule).
   bench::check("interval-native stores >= 4x fewer entries than prefix expansion",
                report.expanded_entries >= 4 * report.native_entries,
                util::fmt_double(report.expansion_factor, 1) + "x per rule");
-  bench::check("TCAM stored the full cross product, stridebv:4i one entry per rule",
+  bench::check("TCAM stored the full cross product, stridebv-re:4 one entry per rule",
                tcam_entries == report.expanded_entries &&
                    native_engine_entries == report.native_entries,
                std::to_string(tcam_entries) + " vs " +
@@ -182,5 +182,5 @@ int main() {
                           : "first mismatch: " + first_mismatch);
   bench::check("sharded runtime matches golden linear on the re-parsed ACL",
                sharded_ok, std::to_string(headers.size()) + " headers");
-  return 0;
+  return bench::exit_code();
 }

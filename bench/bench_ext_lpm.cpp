@@ -82,5 +82,5 @@ int main() {
   }
   bench::check("length ordering survives 200 inserts", tcam.length_ordered(),
                "first-match == longest-match invariant intact");
-  return 0;
+  return bench::exit_code();
 }

@@ -58,5 +58,5 @@ int main() {
                six.total.memory_bits == 6 * one.total.memory_bits,
                "6 pipelines use exactly 6x the stage memory of 1");
   std::printf("\n  %s\n", six.summary().c_str());
-  return 0;
+  return bench::exit_code();
 }

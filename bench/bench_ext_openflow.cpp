@@ -92,5 +92,5 @@ int main() {
   bench::check("StrideBV memory grows with ceil(W/k) stages",
                mem_ratio > 2.0 && mem_ratio < 2.5,
                util::fmt_double(mem_ratio, 2) + "x stages for 2.28x the bits");
-  return 0;
+  return bench::exit_code();
 }

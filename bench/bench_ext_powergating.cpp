@@ -94,5 +94,5 @@ int main() {
   }
   bench::check("partitioned TCAM classifies identically to golden", ok,
                "3000-header trace, 16 banks");
-  return 0;
+  return bench::exit_code();
 }

@@ -63,5 +63,5 @@ int main() {
                worst_ratio > 1.1,
                "uniform layout clocks up to " + util::fmt_double(worst_ratio, 2) +
                    "x faster at equal total memory");
-  return 0;
+  return bench::exit_code();
 }

@@ -77,5 +77,5 @@ int main() {
                "k<=2 doubles latency for modest memory savings; k>=5 explodes memory "
                "(Section V: 'going beyond the selected strides of 3 and 4 will "
                "result in additional undesirable memory consumption')");
-  return 0;
+  return bench::exit_code();
 }

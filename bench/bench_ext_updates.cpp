@@ -150,5 +150,5 @@ int main() {
                incr_large < 4.0 * incr_small,
                util::fmt_double(incr_small, 2) + "us @256 -> " +
                    util::fmt_double(incr_large, 2) + "us @2048");
-  return 0;
+  return bench::exit_code();
 }

@@ -112,5 +112,5 @@ int main() {
                util::fmt_double(sbv_min, 1) + " KB regardless of structure");
   bench::check("TCAM memory identical across all flavours", tcam_min == tcam_max,
                util::fmt_double(tcam_min, 1) + " KB regardless of structure");
-  return 0;
+  return bench::exit_code();
 }

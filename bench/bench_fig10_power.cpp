@@ -67,5 +67,5 @@ int main() {
   bench::check("BRAM k=4 ~1.3x better than BRAM k=3",
                k4_vs_k3_bram > 1.1 && k4_vs_k3_bram < 1.6,
                util::fmt_double(k4_vs_k3_bram, 2) + "x (paper: ~1.3x)");
-  return 0;
+  return bench::exit_code();
 }

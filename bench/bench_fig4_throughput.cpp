@@ -70,5 +70,5 @@ int main() {
   }
   bench::check("throughput degrades with ruleset size", degrade,
                "all five series non-increasing in N");
-  return 0;
+  return bench::exit_code();
 }

@@ -55,5 +55,5 @@ int main() {
   bench::check("N=1024 with PlanAhead ~150 Gbps",
                n1024_with > 130 && n1024_with < 175,
                util::fmt_double(n1024_with, 1) + " Gbps (paper: ~150)");
-  return 0;
+  return bench::exit_code();
 }

@@ -52,5 +52,5 @@ int main() {
   bench::check("floorplanning improves throughput at every N", all_gain,
                "gain range " + util::fmt_double(min_gain, 2) + "x - " +
                    util::fmt_double(max_gain, 2) + "x");
-  return 0;
+  return bench::exit_code();
 }

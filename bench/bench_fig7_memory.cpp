@@ -63,5 +63,5 @@ int main() {
                    util::fmt_double(s4.values.back(), 0));
   bench::check("worst case (k=4, N=2048) < 900 Kbit", worst_k4 < 900,
                util::fmt_double(worst_k4, 0) + " Kbit (paper: <9xx Kbit)");
-  return 0;
+  return bench::exit_code();
 }

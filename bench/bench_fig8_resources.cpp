@@ -62,5 +62,5 @@ int main() {
                "BRAM k=3 " + util::fmt_double(bram3_2048, 1) + "% tops the chart");
   bench::check("distRAM designs fit the device at every N", all_fit_dist,
                "slices, distRAM capacity, and IOBs all within XC7VX1140T");
-  return 0;
+  return bench::exit_code();
 }

@@ -52,5 +52,5 @@ int main() {
                    "% at N=2048 (paper: fully utilized; >100% = unplaceable)");
   bench::check("k=4 stays within BRAM", worst4 < 95,
                util::fmt_double(worst4, 1) + "% at N=2048");
-  return 0;
+  return bench::exit_code();
 }

@@ -415,7 +415,7 @@ int main() {
   // box the fan-out runs serial, so only the short-circuit shows; gate
   // the parallel multiple where cores exist, and gate "the cap doesn't
   // tank throughput" everywhere.
-  const std::size_t hw = util::hardware_core_count();
+  const std::size_t hw = util::allowed_cpu_count();
   if (hw >= 4) {
     bench::check("band-width cap beats raw StrideBV 2x with worker lanes",
                  banded_rate >= 2.0 * raw_rate,
@@ -432,5 +432,5 @@ int main() {
               n, kBaselineRules, util::fmt_double(raw_rate / baseline_rate, 3).c_str(),
               util::fmt_double(prefilter_rate / baseline_rate, 3).c_str(),
               util::fmt_double(banded_rate / baseline_rate, 3).c_str());
-  return 0;
+  return bench::exit_code();
 }

@@ -224,7 +224,7 @@ int main() {
   // more shards genuinely cost more fixed per-packet work there and
   // the ratio is reported rather than gated (the 1-shard bypass check
   // above is the gate that matters on 1 core).
-  const std::size_t hw = util::hardware_core_count();
+  const std::size_t hw = util::allowed_cpu_count();
   if (hw >= 4) {
     bench::check("4-shard fan-out scales to >=0.7x linear over 1 shard",
                  sharded4_rate >= 0.7 * 4.0 * sharded1_rate,
@@ -235,8 +235,8 @@ int main() {
                  "8-shard at " + util::fmt_double(sharded8_rate / sharded1_rate, 2) +
                      "x of 1-shard");
   } else {
-    std::printf("[SKIP] shard-scaling gates need >=4 cores (this box has %zu); "
-                "serial 8-shard runs at %sx of 1-shard\n",
+    std::printf("[SKIP] shard-scaling gates need >=4 allowed CPUs (this process "
+                "may use %zu); serial 8-shard runs at %sx of 1-shard\n",
                 hw, util::fmt_double(sharded8_rate / sharded1_rate, 2).c_str());
   }
   bench::check("flow cache short-circuits the fan-out on the skewed trace",
@@ -261,5 +261,5 @@ int main() {
   }
   bench::check("sharded batch results identical to golden linear search", ok,
                std::to_string(kPackets) + " headers");
-  return 0;
+  return bench::exit_code();
 }

@@ -172,5 +172,5 @@ int main() {
   const auto snap_cost_note =
       "swap cost tracks band size (clone+patch), not total ruleset size";
   std::printf("\nnote: %s\n", snap_cost_note);
-  return 0;
+  return bench::exit_code();
 }

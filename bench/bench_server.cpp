@@ -376,5 +376,5 @@ int main() {
                "best " + std::to_string(best_wire_rate) + " Mpkt/s");
   bench::check("durable updates acked cleanly under every fsync policy",
                updates_clean, "ack seq == op count, zero failures");
-  return 0;
+  return bench::exit_code();
 }

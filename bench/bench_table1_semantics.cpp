@@ -58,5 +58,5 @@ int main() {
   // The default rule catches everything: no probe may miss.
   bench::check("default rule catches all traffic", true,
                "lowest-priority 0.0.0.0/0 rule = the paper's catch-all");
-  return 0;
+  return bench::exit_code();
 }

@@ -92,5 +92,5 @@ int main() {
                rows[0].eff <= best_eff * 1.05,
                util::fmt_double(rows[0].eff, 0) + " vs SSA " +
                    util::fmt_double(rows[5].eff, 0) + " uW/Gbps");
-  return 0;
+  return bench::exit_code();
 }

@@ -101,5 +101,5 @@ int main() {
   bench::check("differential sweep clean", failures == 0,
                util::fmt_group(comparisons) + " comparisons, " +
                    util::fmt_group(failures) + " mismatches");
-  return failures == 0 ? 0 : 1;
+  return bench::exit_code();
 }

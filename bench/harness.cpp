@@ -87,8 +87,15 @@ void print_chart(const std::vector<std::uint64_t>& sizes,
   std::printf("\n");
 }
 
+namespace {
+bool g_failed = false;
+}  // namespace
+
 void check(const std::string& what, bool ok, const std::string& detail) {
   std::printf("  [%s] %s — %s\n", ok ? "PASS" : "FAIL", what.c_str(), detail.c_str());
+  if (!ok) g_failed = true;
 }
+
+int exit_code() { return g_failed ? 1 : 0; }
 
 }  // namespace rfipc::bench

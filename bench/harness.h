@@ -45,7 +45,12 @@ void print_chart(const std::vector<std::uint64_t>& sizes,
                  const std::vector<Series>& series, const std::string& unit,
                  bool log_scale = false);
 
-/// PASS/FAIL line for a shape check recorded in EXPERIMENTS.md.
+/// PASS/FAIL line for a shape check recorded in EXPERIMENTS.md. A
+/// failed check is remembered for exit_code().
 void check(const std::string& what, bool ok, const std::string& detail);
+
+/// 1 when any check() in this process failed, else 0. Every bench main
+/// returns it, so a failed gate fails the process, not only its log.
+int exit_code();
 
 }  // namespace rfipc::bench

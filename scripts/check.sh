@@ -8,7 +8,7 @@
 #   4. address,undefined — ASan+UBSan build, full ctest (includes the
 #      persist journal/recovery and resilient-client suites)
 #   5. thread          — TSan build, concurrency-sensitive tests only
-#      (thread pool, SPSC ring + shard workers, RCU, sharded runtime,
+#      (SPSC ring + shard workers, RCU, sharded runtime,
 #      concurrent update stress, fault containment, flow-cache
 #      coherence, the wire codec, the classification service E2E, the
 #      durable log's applier/checkpoint-thread interplay, and the
@@ -48,8 +48,8 @@ CTEST_ARGS=()
 run build-asan "address,undefined"
 
 CMAKE_ARGS=()
-CTEST_ARGS=(-R 'test_thread_pool|test_spsc_ring|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_wire|test_server|test_persist|test_resilient_client')
-run build-tsan "thread" --target test_thread_pool test_spsc_ring test_runtime \
+CTEST_ARGS=(-R 'test_spsc_ring|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_wire|test_server|test_persist|test_resilient_client')
+run build-tsan "thread" --target test_spsc_ring test_runtime \
   test_rcu test_runtime_concurrent test_fault_containment test_flow_cache \
   test_wire test_server test_persist test_resilient_client
 

@@ -10,8 +10,11 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# A bench with a failed check exits non-zero; note it and keep going so
+# every figure is still regenerated.
 for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] && "$b"
+  [ -f "$b" ] && [ -x "$b" ] || continue
+  "$b" || echo "reproduce: $(basename "$b") exited $?"
 done 2>&1 | tee bench_output.txt
 
 echo

@@ -65,22 +65,15 @@ constexpr SpecEntry kSpecTable[] = {
        return std::make_unique<tcam::TcamEngine>(std::move(rules));
      }},
     {"stridebv",
-     {"stridebv:3", "stridebv:4i"},
-     "StrideBV pipeline; :k = stride width 1..8 (default 4); :ki = interval ports",
+     {"stridebv:3", ""},
+     "StrideBV pipeline; :k = stride width 1..8 (default 4)",
      [](const std::string& spec, std::size_t colon, ruleset::RuleSet rules) -> EnginePtr {
-       // A trailing 'i' on the stride suffix selects the interval-native
-       // port stages (StrideBVRangeEngine) instead of prefix expansion.
-       if (colon != std::string::npos && !spec.empty() && spec.back() == 'i') {
-         const std::string trimmed = spec.substr(0, spec.size() - 1);
-         return std::make_unique<stridebv::StrideBVRangeEngine>(
-             std::move(rules), stridebv::StrideBVConfig{parse_stride(trimmed, colon)});
-       }
        return std::make_unique<stridebv::StrideBVEngine>(
            std::move(rules), stridebv::StrideBVConfig{parse_stride(spec, colon)});
      }},
     {"stridebv-re",
      {"stridebv-re:4", ""},
-     "StrideBV with explicit port-range modules; :k = stride width",
+     "StrideBV with interval-native port-range modules; :k = stride width",
      [](const std::string& spec, std::size_t colon, ruleset::RuleSet rules) -> EnginePtr {
        return std::make_unique<stridebv::StrideBVRangeEngine>(
            std::move(rules), stridebv::StrideBVConfig{parse_stride(spec, colon)});

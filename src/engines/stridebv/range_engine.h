@@ -19,8 +19,7 @@
 // representation (ruleset::lowering::IntervalSet): each rule's port
 // stage is a disjoint interval set, so a rule always costs exactly one
 // bit-vector column regardless of how many prefix blocks its ranges
-// would have expanded into. The factory exposes this engine both as
-// "stridebv-re:k" and as the interval-port option "stridebv:ki".
+// would have expanded into. The factory spec is "stridebv-re:k".
 #pragma once
 
 #include <vector>

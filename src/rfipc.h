@@ -25,7 +25,6 @@
 #include "ruleset/lang/source.h"
 #include "ruleset/lowering.h"
 #include "ruleset/parser.h"
-#include "ruleset/range_to_prefix.h"
 #include "ruleset/rule.h"
 #include "ruleset/ruleset.h"
 #include "ruleset/ternary.h"
@@ -89,4 +88,3 @@
 #include "util/prng.h"
 #include "util/str.h"
 #include "util/table.h"
-#include "util/thread_pool.h"

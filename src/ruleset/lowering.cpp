@@ -1,9 +1,45 @@
 #include "ruleset/lowering.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "net/header.h"
+#include "util/bitops.h"
 #include "util/str.h"
+
+namespace rfipc::ruleset {
+
+std::vector<PrefixBlock> range_to_prefixes(std::uint32_t lo, std::uint32_t hi,
+                                           unsigned w) {
+  if (w == 0 || w > 32) throw std::invalid_argument("range_to_prefixes: bad width");
+  const std::uint64_t limit = (w == 32) ? 0x100000000ULL : (1ULL << w);
+  if (lo > hi || hi >= limit) throw std::invalid_argument("range_to_prefixes: bad range");
+
+  std::vector<PrefixBlock> out;
+  std::uint64_t cur = lo;
+  const std::uint64_t end = hi;
+  while (cur <= end) {
+    // Largest block aligned at `cur`: limited by cur's lowest set bit and
+    // by the remaining span.
+    unsigned align = cur == 0 ? w : static_cast<unsigned>(util::lowest_set_bit(cur));
+    if (align > w) align = w;
+    std::uint64_t block = 1ULL << align;
+    const std::uint64_t span = end - cur + 1;
+    while (block > span) block >>= 1;
+    const unsigned block_bits = util::floor_log2(block);
+    out.push_back(PrefixBlock{static_cast<std::uint32_t>(cur),
+                              static_cast<std::uint8_t>(w - block_bits)});
+    cur += block;
+    if (cur == 0) break;  // wrapped past 2^32 (w == 32, hi == 2^32-1)
+  }
+  return out;
+}
+
+bool range_is_prefix(std::uint32_t lo, std::uint32_t hi, unsigned w) {
+  return range_to_prefixes(lo, hi, w).size() == 1;
+}
+
+}  // namespace rfipc::ruleset
 
 namespace rfipc::ruleset::lowering {
 

@@ -4,14 +4,14 @@
 // Every engine family consumes rules in one of two shapes:
 //
 //   * kPrefixExpand — ranges are decomposed into maximal prefix blocks
-//     and the rule becomes the CROSS PRODUCT of its port fields'
-//     blocks: up to 4(w-1)^2 ternary entries per rule (the TCAM /
-//     plain-StrideBV blow-up the paper warns about in Section II-A).
+//     (range_to_prefixes: at most 2(w-1) per w-bit range) and the rule
+//     becomes the CROSS PRODUCT of its port fields' blocks: up to
+//     4(w-1)^2 ternary entries per rule (the TCAM / plain-StrideBV
+//     blow-up the paper warns about in Section II-A).
 //   * kIntervalNative — the range is stored as a closed interval set
 //     and compared directly ([lo, hi] comparators); exactly ONE entry
 //     per rule. Linear search, the tuple-space prefilter, and the
-//     range-module StrideBV variant (stridebv:ki / stridebv-re) lower
-//     this way.
+//     range-module StrideBV variant (stridebv-re:k) lower this way.
 //
 // Before this module, ternary.cpp, flow/generic.cpp, and the FSBV
 // hybrid each hand-rolled the block decomposition + cross product.
@@ -27,10 +27,35 @@
 #include <vector>
 
 #include "net/port_range.h"
-#include "ruleset/range_to_prefix.h"
 #include "ruleset/rule.h"
 #include "ruleset/ruleset.h"
 #include "ruleset/ternary.h"
+
+namespace rfipc::ruleset {
+
+/// One prefix block: the top `length` bits of `value` are significant.
+/// Width is carried by the caller (16 for ports).
+struct PrefixBlock {
+  std::uint32_t value = 0;
+  std::uint8_t length = 0;
+
+  bool operator==(const PrefixBlock&) const = default;
+};
+
+/// Decomposes the closed interval [lo, hi] over w-bit values into the
+/// minimal set of maximal prefix blocks, in ascending order (the
+/// classic maximal-block decomposition). Requires lo <= hi < 2^w and
+/// w <= 32; throws std::invalid_argument otherwise.
+std::vector<PrefixBlock> range_to_prefixes(std::uint32_t lo, std::uint32_t hi,
+                                           unsigned w);
+
+/// Worst-case block count for a w-bit range: 2(w-1).
+constexpr unsigned worst_case_prefixes(unsigned w) { return w <= 1 ? 1 : 2 * (w - 1); }
+
+/// True when [lo, hi] is exactly one prefix block.
+bool range_is_prefix(std::uint32_t lo, std::uint32_t hi, unsigned w);
+
+}  // namespace rfipc::ruleset
 
 namespace rfipc::ruleset::lowering {
 

@@ -29,8 +29,7 @@ ShardWorkerPool::ShardWorkerPool(Options opts) : opts_(opts) {
   for (std::size_t w = 0; w < opts_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
     if (opts_.pin) {
-      pinned_ = util::pin_thread_to_core(workers_.back(), opts_.pin_offset + w) &&
-                pinned_;
+      pinned_ = util::pin_thread_to_core(workers_.back(), w) && pinned_;
     }
   }
 }

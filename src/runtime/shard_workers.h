@@ -23,8 +23,8 @@
 //   reactor and ClassifyClient wait the same way, util/spin.h). kBusyPoll
 //   spins with cpu_relax() on both sides — opt-in for latency benches
 //   that own their cores.
-// * Pinning is opt-in and best effort (util/affinity.h): workers pin
-//   to consecutive cores starting at pin_offset, and a refused pin
+// * Pinning is opt-in and best effort (util/affinity.h): worker w pins
+//   to the w-th CPU of the process's affinity mask, and a refused pin
 //   degrades to the portable no-pin behavior silently.
 //
 // SPSC discipline: each ring has exactly one consumer (its worker).
@@ -57,10 +57,9 @@ class ShardWorkerPool {
   struct Options {
     std::size_t workers = 0;
     WaitPolicy wait = WaitPolicy::kBlock;
-    /// Pin worker w to core pin_offset + w (best effort; no-op when
+    /// Pin worker w to the w-th allowed CPU (best effort; no-op when
     /// the platform refuses).
     bool pin = false;
-    std::size_t pin_offset = 0;
     /// Per-worker ring slots (rounded up to a power of two).
     std::size_t ring_capacity = 64;
   };

@@ -50,8 +50,6 @@ ShardWorkerPool::Options worker_options(const ShardedConfig& cfg,
   opts.workers = lanes - 1;
   opts.wait = cfg.wait_policy;
   opts.pin = cfg.pin_workers;
-  opts.pin_offset = cfg.pin_first_core;
-  opts.ring_capacity = cfg.worker_ring_capacity;
   return opts;
 }
 
@@ -158,50 +156,10 @@ void ShardedClassifier::record_shard_fault(const Shard& shard,
 }
 
 MatchResult ShardedClassifier::classify(const net::HeaderBits& header) const {
+  // A batch of one: the same cache probe, fan-out, fault containment
+  // and merge as classify_batch, with the multi-match vector filled.
   MatchResult out;
-  std::uint64_t epoch = 0;
-  if (cache_ != nullptr) {
-    epoch = cache_->epoch();  // captured before the slow-path snapshot pin
-    // The slow path below always fills multi, so a best-only entry is a miss.
-    std::vector<std::size_t> miss;
-    if (cache_->lookup_batch({&header, 1}, {&out, 1}, true, miss) == 1) {
-      stats_.record_batch(1, out.has_match() ? 1 : 0);
-      return out;
-    }
-  }
-  auto snap = snapshot_.read();
-  out.reset_for(snap->bases.back());
-  for (std::size_t s = 0; s < snap->shards.size(); ++s) {
-    const Shard& shard = snap->shards[s];
-    if (snap->bases[s + 1] == snap->bases[s]) continue;  // empty band
-    if (shard.health->quarantined.load(std::memory_order_acquire)) {
-      shard.health->degraded_packets.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    MatchResult r;
-    bool good = true;
-    try {
-      r = shard.engine->classify(header);
-    } catch (...) {
-      good = false;
-    }
-    if (good) good = validate_results({&r, 1}, shard.engine->rule_count());
-    if (!good) {
-      record_shard_fault(shard, 1);
-      continue;
-    }
-    shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
-    if (r.has_match()) {
-      const std::size_t global = snap->bases[s] + r.best;
-      if (global < out.best) out.best = global;
-    }
-    for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
-         b = r.multi.next_set(b + 1)) {
-      out.multi.set(snap->bases[s] + b);
-    }
-  }
-  if (cache_ != nullptr) cache_->insert(header, epoch, out);
-  stats_.record_batch(1, out.has_match() ? 1 : 0);
+  classify_batch({&header, 1}, {&out, 1}, engines::BatchOptions{.want_multi = true});
   return out;
 }
 

@@ -106,7 +106,7 @@ struct ShardedConfig {
   /// workers. 0 derives lanes from the core budget below; 1 forces
   /// fully inline (serial) fan-out with no worker threads at all.
   std::size_t threads = 0;
-  /// Total cores this process may spend; 0 = hardware_concurrency().
+  /// Total cores this process may spend; 0 = util::allowed_cpu_count().
   /// Shard workers get what `reserved_cores` leaves over, clamped so a
   /// starved budget degrades to serial instead of oversubscribing.
   std::size_t core_budget = 0;
@@ -118,12 +118,9 @@ struct ShardedConfig {
   /// (default, right when cores are shared); kBusyPoll spins (opt-in
   /// for latency benches that own their cores).
   ShardWorkerPool::WaitPolicy wait_policy = ShardWorkerPool::WaitPolicy::kBlock;
-  /// Pin shard workers to consecutive cores starting at
-  /// `pin_first_core` (best effort; silently unpinned where refused).
+  /// Pin shard worker w to the w-th CPU the process may run on (best
+  /// effort; silently unpinned where refused).
   bool pin_workers = false;
-  std::size_t pin_first_core = 0;
-  /// Per-worker SPSC ring slots (rounded up to a power of two).
-  std::size_t worker_ring_capacity = 64;
   /// Shard failure containment knobs.
   FailurePolicy failure;
   /// How long the synchronous insert_rule/erase_rule wrappers wait for
@@ -158,6 +155,7 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   /// the owning shard when its engine cannot patch incrementally.
   bool supports_update() const override { return true; }
 
+  /// A batch of one through classify_batch (multi-match filled).
   engines::MatchResult classify(const net::HeaderBits& header) const override;
   void classify_batch(std::span<const net::HeaderBits> headers,
                       std::span<engines::MatchResult> results,

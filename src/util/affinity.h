@@ -5,8 +5,10 @@
 // workers, benchmark drivers — should be derived from ONE core budget
 // so co-resident subsystems cannot silently oversubscribe a small
 // machine (the 1-core CI box turns oversubscription into a 4x
-// slowdown; see EXPERIMENTS.md). hardware_core_count() is the default
-// budget; parallel_lanes() turns (budget, reserved, work items) into
+// slowdown; see EXPERIMENTS.md). allowed_cpu_count() is the one core
+// count and the default budget: it reads the affinity mask, so taskset
+// or a cgroup cpuset shrinks the budget where hardware_concurrency()
+// would not. parallel_lanes() turns (budget, reserved, work items) into
 // the number of lanes that may actually run concurrently, clamped to
 // at least one so a starved budget degrades to serial rather than
 // failing.
@@ -22,25 +24,23 @@
 
 namespace rfipc::util {
 
-/// std::thread::hardware_concurrency() clamped to >= 1 (the standard
-/// permits 0 for "unknown").
-std::size_t hardware_core_count();
-
 /// CPUs the calling thread's affinity mask allows (sched_getaffinity;
 /// threads inherit the mask of the thread that created them), or
-/// hardware_core_count() where the platform has no such mask.
+/// std::thread::hardware_concurrency() where the platform has no such
+/// mask. Never below one.
 std::size_t allowed_cpu_count();
 
 /// How many lanes of `items` work a subsystem may run concurrently:
 /// min(items, budget - reserved), clamped to >= 1. `budget` == 0 means
-/// hardware_core_count(); `reserved` counts co-resident threads
+/// allowed_cpu_count(); `reserved` counts co-resident threads
 /// (reactor, waiters) already spending cores.
 std::size_t parallel_lanes(std::size_t items, std::size_t budget,
                            std::size_t reserved);
 
-/// Best-effort: pins `t` to `core` (mod the machine's core count).
-/// Returns false when unsupported on this platform or refused by the
-/// kernel — callers must treat pinning as an optimization only.
+/// Best-effort: pins `t` to the `core`-th CPU (mod allowed_cpu_count())
+/// of the calling thread's affinity mask. Returns false when
+/// unsupported on this platform or refused by the kernel — callers
+/// must treat pinning as an optimization only.
 bool pin_thread_to_core(std::thread& t, std::size_t core);
 
 }  // namespace rfipc::util

@@ -49,6 +49,8 @@ TEST(Factory, RejectsUnknown) {
   EXPECT_THROW(make_engine("stridebv:0", rs), std::invalid_argument);
   EXPECT_THROW(make_engine("stridebv:9", rs), std::invalid_argument);
   EXPECT_THROW(make_engine("stridebv:x", rs), std::invalid_argument);
+  // Interval ports have one spec, stridebv-re:k; "stridebv:ki" is not a stride.
+  EXPECT_THROW(make_engine("stridebv:4i", rs), std::invalid_argument);
 }
 
 TEST(Factory, EnginesClassifyThroughBaseInterface) {

@@ -1,4 +1,6 @@
-#include "ruleset/range_to_prefix.h"
+// range_to_prefixes (ruleset/lowering): the maximal-block decomposition
+// every prefix-expanding engine stores.
+#include "ruleset/lowering.h"
 
 #include <gtest/gtest.h>
 

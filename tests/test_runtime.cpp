@@ -7,14 +7,22 @@
 // count what actually happened.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "engines/common/factory.h"
 #include "engines/common/linear_engine.h"
 #include "runtime/sharded_classifier.h"
 #include "ruleset/generator.h"
 #include "ruleset/trace.h"
+#include "util/affinity.h"
 
 namespace rfipc::runtime {
 namespace {
@@ -254,6 +262,81 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   serial.classify_batch(headers, out);
   EXPECT_TRUE(serial.stats_snapshot().workers.empty());
 }
+
+#if defined(__linux__)
+/// Restricts the calling thread (and the threads it starts) to the last
+/// CPU of its affinity mask, restoring the old mask on scope exit.
+class LastCpuOnly {
+ public:
+  LastCpuOnly() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    for (int c = CPU_SETSIZE - 1; c >= 0 && cpu_ < 0; --c) {
+      if (CPU_ISSET(c, &saved_)) cpu_ = c;
+    }
+    if (cpu_ < 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu_, &one);
+    ok_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~LastCpuOnly() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  LastCpuOnly(const LastCpuOnly&) = delete;
+  LastCpuOnly& operator=(const LastCpuOnly&) = delete;
+
+  bool ok() const { return ok_; }
+  int cpu() const { return cpu_; }
+
+ private:
+  cpu_set_t saved_;
+  int cpu_ = -1;
+  bool ok_ = false;
+};
+
+// The default core budget is the affinity mask, not the machine's core
+// count: on one allowed CPU a default 4-shard classifier runs its
+// fan-out inline instead of starting workers that would spin on the
+// dispatcher's only CPU.
+TEST(ShardedClassifier, DefaultBudgetFollowsAffinityMask) {
+  const auto rules = ruleset::generate_firewall(64, 51);
+  const auto headers = packed_trace(rules, 128, 52);
+  std::vector<MatchResult> got(headers.size());
+  {
+    const LastCpuOnly mask;
+    ASSERT_TRUE(mask.ok());
+    const ShardedClassifier sc(rules, ShardedConfig{});  // 4 shards, budget 0
+    EXPECT_TRUE(sc.stats_snapshot().workers.empty());
+    sc.classify_batch(headers, got);
+  }
+  const engines::LinearSearchEngine golden(rules);
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    EXPECT_EQ(got[i].best, golden.classify(headers[i]).best) << i;
+  }
+}
+
+// Pinning picks CPUs from the affinity mask, so a pinned worker never
+// escapes the CPUs the process was confined to.
+TEST(ShardedClassifier, WorkerPinStaysInsideAffinityMask) {
+  const LastCpuOnly mask;
+  ASSERT_TRUE(mask.ok());
+  std::atomic<bool> go{false};
+  std::thread t([&] {
+    while (!go.load()) std::this_thread::yield();
+  });
+  const bool pinned = util::pin_thread_to_core(t, 0);
+  cpu_set_t got;
+  CPU_ZERO(&got);
+  const int rc = pthread_getaffinity_np(t.native_handle(), sizeof(got), &got);
+  go = true;
+  t.join();
+  EXPECT_TRUE(pinned);
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(CPU_COUNT(&got), 1);
+  EXPECT_TRUE(CPU_ISSET(mask.cpu(), &got));
+}
+#endif
 
 // Satellite: the update wait computes ONE absolute deadline up front
 // (f.wait_until), so spurious wakeups can't stretch update_timeout_ms
