@@ -147,7 +147,7 @@ int main() {
     file.records.push_back(std::move(rec));
   }
 
-  // One shard, inline serial fan-out: BOTH paths call the identical
+  // One shard, so one lane: BOTH paths call the identical
   // zero-hand-off classify_batch, so the comparison isolates transport
   // (sockets vs in-process frames) instead of shard-worker scheduling.
   // Ring consumers then scale by adding threads that each run the
@@ -160,7 +160,6 @@ int main() {
   // trip per batch on the wire.
   runtime::ShardedConfig rcfg;
   rcfg.shards = 1;
-  rcfg.threads = 1;
   rcfg.flow_cache_capacity = 2 * kFrames;
   runtime::ShardedClassifier classifier(rules, rcfg);
 

@@ -7,8 +7,10 @@
 // analogue (Section IV-A's packing, in software). Batching wins by
 // reusing scratch vectors and replacing the simulated per-bit PPE
 // tournament with a word-scan fold; sharding additionally cuts each
-// pipeline's bit-vector width and spreads bands across worker threads.
-#include <chrono>
+// pipeline's bit-vector width and spreads packet slices across worker
+// lanes. Every timed row is bench::median_rate: one warm-up pass, then
+// the median of five timed passes.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,8 +29,14 @@ using namespace rfipc;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+/// One pass over `headers` in `batch`-sized classify_batch calls.
+void run_batches(const engines::ClassifierEngine& engine,
+                 const std::vector<net::HeaderBits>& headers,
+                 std::vector<engines::MatchResult>& results, std::size_t batch) {
+  for (std::size_t off = 0; off < headers.size(); off += batch) {
+    const std::size_t len = std::min(batch, headers.size() - off);
+    engine.classify_batch({headers.data() + off, len}, {results.data() + off, len});
+  }
 }
 
 }  // namespace
@@ -61,46 +69,35 @@ int main() {
 
   // Baseline: one virtual classify() per packet on the whole ruleset.
   const auto engine = engines::make_engine(spec, rules);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kPackets; ++i) results[i] = engine->classify(headers[i]);
-  const double per_packet_s = seconds_since(t0);
-  const double per_packet_rate = static_cast<double>(kPackets) / per_packet_s;
+  const double per_packet_rate = bench::median_rate(kPackets, [&] {
+    for (std::size_t i = 0; i < kPackets; ++i) results[i] = engine->classify(headers[i]);
+  });
   table.add_row({engine->name() + " per-packet", util::fmt_double(per_packet_rate / 1e6, 3),
                  "1.00", "-", "-"});
 
   // Batched fast path, same single engine.
-  const auto t1 = std::chrono::steady_clock::now();
-  for (std::size_t off = 0; off < kPackets; off += kBatch) {
-    const std::size_t len = std::min(kBatch, kPackets - off);
-    engine->classify_batch({headers.data() + off, len}, {results.data() + off, len});
-  }
-  const double batched_rate = static_cast<double>(kPackets) / seconds_since(t1);
+  const double batched_rate = bench::median_rate(
+      kPackets, [&] { run_batches(*engine, headers, results, kBatch); });
   table.add_row({engine->name() + " batch=" + std::to_string(kBatch),
                  util::fmt_double(batched_rate / 1e6, 3),
                  util::fmt_double(batched_rate / per_packet_rate, 2), "-", "-"});
 
   // Wide batches amortize the scratch arena further and give the
   // prefetch pipeline a longer run.
-  const auto t1w = std::chrono::steady_clock::now();
-  for (std::size_t off = 0; off < kPackets; off += kBatchWide) {
-    const std::size_t len = std::min(kBatchWide, kPackets - off);
-    engine->classify_batch({headers.data() + off, len}, {results.data() + off, len});
-  }
-  const double wide_rate = static_cast<double>(kPackets) / seconds_since(t1w);
+  const double wide_rate = bench::median_rate(
+      kPackets, [&] { run_batches(*engine, headers, results, kBatchWide); });
   table.add_row({engine->name() + " batch=" + std::to_string(kBatchWide),
                  util::fmt_double(wide_rate / 1e6, 3),
                  util::fmt_double(wide_rate / per_packet_rate, 2), "-", "-"});
 
   // Sharded runtime across shard counts. The 1-shard row exercises the
-  // fan-out bypass: a single eligible shard is classified inline on the
-  // calling thread, straight into the caller's results — no worker
-  // dispatch, no per-shard buffers, no merge — so it should track the
-  // raw engine batch row above. Multi-shard rows ride the
-  // run-to-completion shard workers (SPSC ring hand-off) when the core
-  // budget affords lanes; on a 1-core box they collapse to the inline
-  // serial fan-out and should stay NEAR the raw batch rate instead of
-  // inverting (the old thread-pool fan-out made 8 shards 4x slower
-  // than 1).
+  // one-band path: a single lane classifies straight into the caller's
+  // results — no worker dispatch, no band buffer, no fold — so it
+  // should track the raw engine batch row above. Multi-shard rows
+  // split each batch into packet slices over run-to-completion workers
+  // (SPSC ring hand-off) when the core budget affords lanes; every lane
+  // walks every band over its slice, and on a 1-core box the single
+  // lane walks the whole batch inline.
   double sharded1_rate = 0;
   double sharded4_rate = 0;
   double sharded8_rate = 0;
@@ -109,12 +106,8 @@ int main() {
     cfg.shards = shards;
     cfg.engine_spec = spec;
     const runtime::ShardedClassifier sc(rules, cfg);
-    const auto t2 = std::chrono::steady_clock::now();
-    for (std::size_t off = 0; off < kPackets; off += kBatch) {
-      const std::size_t len = std::min(kBatch, kPackets - off);
-      sc.classify_batch({headers.data() + off, len}, {results.data() + off, len});
-    }
-    const double rate = static_cast<double>(kPackets) / seconds_since(t2);
+    const double rate =
+        bench::median_rate(kPackets, [&] { run_batches(sc, headers, results, kBatch); });
     if (shards == 1) sharded1_rate = rate;
     if (shards == 4) sharded4_rate = rate;
     if (shards == 8) sharded8_rate = rate;
@@ -143,12 +136,8 @@ int main() {
     cfg.engine_spec = spec;
     cfg.wait_policy = runtime::ShardWorkerPool::WaitPolicy::kBusyPoll;
     const runtime::ShardedClassifier sc(rules, cfg);
-    const auto t2 = std::chrono::steady_clock::now();
-    for (std::size_t off = 0; off < kPackets; off += kBatch) {
-      const std::size_t len = std::min(kBatch, kPackets - off);
-      sc.classify_batch({headers.data() + off, len}, {results.data() + off, len});
-    }
-    sharded4_spin_rate = static_cast<double>(kPackets) / seconds_since(t2);
+    sharded4_spin_rate =
+        bench::median_rate(kPackets, [&] { run_batches(sc, headers, results, kBatch); });
     table.add_row({sc.name() + " busy-poll", util::fmt_double(sharded4_spin_rate / 1e6, 3),
                    util::fmt_double(sharded4_spin_rate / per_packet_rate, 2), "-", "-"});
   }
@@ -170,25 +159,17 @@ int main() {
     cfg.engine_spec = spec;
     {
       const runtime::ShardedClassifier sc(rules, cfg);
-      const auto t3 = std::chrono::steady_clock::now();
-      for (std::size_t off = 0; off < kPackets; off += kBatch) {
-        const std::size_t len = std::min(kBatch, kPackets - off);
-        sc.classify_batch({skewed.data() + off, len}, {results.data() + off, len});
-      }
-      uncached_skewed_rate = static_cast<double>(kPackets) / seconds_since(t3);
+      uncached_skewed_rate =
+          bench::median_rate(kPackets, [&] { run_batches(sc, skewed, results, kBatch); });
       table.add_row({sc.name() + " skewed, no cache", util::fmt_double(uncached_skewed_rate / 1e6, 3),
                      util::fmt_double(uncached_skewed_rate / per_packet_rate, 2), "-", "-"});
     }
     cfg.flow_cache_capacity = 4096;
     const runtime::ShardedClassifier sc(rules, cfg);
-    // Cold pass fills the cache; the timed pass is the steady state.
-    sc.classify_batch({skewed.data(), kBatch}, {results.data(), kBatch});
-    const auto t4 = std::chrono::steady_clock::now();
-    for (std::size_t off = 0; off < kPackets; off += kBatch) {
-      const std::size_t len = std::min(kBatch, kPackets - off);
-      sc.classify_batch({skewed.data() + off, len}, {results.data() + off, len});
-    }
-    cached_rate = static_cast<double>(kPackets) / seconds_since(t4);
+    // The warm-up pass fills the cache; the timed passes are the steady
+    // state.
+    cached_rate =
+        bench::median_rate(kPackets, [&] { run_batches(sc, skewed, results, kBatch); });
     table.add_row({sc.name() + " skewed + flow cache", util::fmt_double(cached_rate / 1e6, 3),
                    util::fmt_double(cached_rate / per_packet_rate, 2), "-", "-"});
     cache_stats = sc.flow_cache()->stats();
@@ -214,13 +195,13 @@ int main() {
                sharded4_rate >= 3.0 * per_packet_rate,
                util::fmt_double(sharded4_rate / per_packet_rate, 2) + "x at " +
                    std::to_string(kRules) + " rules");
-  // Shard-scaling gates, multi-core only. Each of the 4 shards holds a
-  // quarter of the ruleset, so with >=4 cores the parallel fan-out
-  // should approach 4x the 1-shard (full-ruleset, bypass) row; require
-  // 70% of linear, and require 8 shards (2 bands per lane) to at least
-  // not fall below 1 shard — the original inversion. On smaller boxes
-  // the core budget intentionally derives fewer lanes and the fan-out
-  // runs serial; every packet still visits every priority band, so
+  // Shard-scaling gates, multi-core only. With >=4 cores the 4-shard
+  // row runs 4 lanes, each walking a quarter of every batch, so it
+  // should approach 4x the 1-shard (one lane, full-ruleset) row;
+  // require 70% of linear, and require 8 shards (still 4 lanes, twice
+  // the bands) to at least not fall below 1 shard — the original
+  // inversion. On smaller boxes the core budget intentionally derives
+  // fewer lanes; every packet still visits every priority band, so
   // more shards genuinely cost more fixed per-packet work there and
   // the ratio is reported rather than gated (the 1-shard bypass check
   // above is the gate that matters on 1 core).

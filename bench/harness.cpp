@@ -1,6 +1,8 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,6 +87,19 @@ void print_chart(const std::vector<std::uint64_t>& sizes,
     }
   }
   std::printf("\n");
+}
+
+double median_rate(std::size_t packets, const std::function<void()>& pass) {
+  pass();  // warm-up: caches, scratch arenas, parked workers
+  std::array<double, 5> rates{};
+  for (double& rate : rates) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pass();
+    const std::chrono::duration<double> s = std::chrono::steady_clock::now() - t0;
+    rate = static_cast<double>(packets) / s.count();
+  }
+  std::nth_element(rates.begin(), rates.begin() + rates.size() / 2, rates.end());
+  return rates[rates.size() / 2];
 }
 
 namespace {

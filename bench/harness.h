@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,11 @@ struct Series {
 void print_chart(const std::vector<std::uint64_t>& sizes,
                  const std::vector<Series>& series, const std::string& unit,
                  bool log_scale = false);
+
+/// Throughput of `pass`, which classifies `packets` headers per call:
+/// one untimed warm-up pass, then the median rate (packets/second) of
+/// five timed passes, so one preempted pass cannot move a gated ratio.
+double median_rate(std::size_t packets, const std::function<void()>& pass);
 
 /// PASS/FAIL line for a shape check recorded in EXPERIMENTS.md. A
 /// failed check is remembered for exit_code().

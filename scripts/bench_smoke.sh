@@ -43,6 +43,9 @@
 # append + fsync per policy; the server acks only after the record is
 # on disk), one row per --fsync policy of rfipcd's journal.
 #
+# After each bench one line counts its [PASS]/[FAIL]/[SKIP] checks,
+# and on exit a summary repeats every [SKIP] reason.
+#
 # The benches' own [PASS]/[FAIL] checks gate the exit status (a failed
 # check also makes the bench itself exit non-zero), so a perf
 # regression that trips a check fails the smoke too. That includes the
@@ -63,18 +66,42 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_runtime_batch bench_se
 workdir="${BUILD_DIR}/bench-smoke"
 mkdir -p "${workdir}"
 
+benches=()
+
+# Gate bookkeeping, printed on every exit (a failed check exits early):
+# each [SKIP] line the benches printed, so the log shows which gates
+# did not run and why.
+summarize() {
+  local skips=""
+  if ((${#benches[@]} > 0)); then
+    skips="$(cd "${workdir}" && grep -h '\[SKIP\]' "${benches[@]/%/.log}" || true)"
+  fi
+  echo
+  echo "bench_smoke: skipped gates in ${benches[*]:-no bench}:"
+  if [[ -n "${skips}" ]]; then
+    sed 's/^ */  /' <<<"${skips}"
+  else
+    echo "  none"
+  fi
+}
+trap summarize EXIT
+
 # Runs one bench in ${workdir}, logging to ${workdir}/<bench>.log; any
-# leading VAR=value arguments go into its environment. A failed check
-# prints [FAIL] and makes the bench exit non-zero; either one names the
-# bench here (the status is caught, so pipefail cannot end the script
-# before the message).
+# leading VAR=value arguments go into its environment. Prints one line
+# of [PASS]/[FAIL]/[SKIP] counts. A failed check prints [FAIL] and makes
+# the bench exit non-zero; either one names the bench here (the status
+# is caught, so pipefail cannot end the script before the message).
 run_bench() {
   local name="$1"
   shift
   local status=0
-  (cd "${workdir}" && env "$@" "../bench/${name}") | tee "${workdir}/${name}.log" ||
-    status=$?
-  if ((status != 0)) || grep -q '\[FAIL\]' "${workdir}/${name}.log"; then
+  local log="${workdir}/${name}.log"
+  benches+=("${name}")
+  (cd "${workdir}" && env "$@" "../bench/${name}") | tee "${log}" || status=$?
+  echo "bench_smoke: ${name}: $(grep -c '\[PASS\]' "${log}" || true) passed," \
+    "$(grep -c '\[FAIL\]' "${log}" || true) failed," \
+    "$(grep -c '\[SKIP\]' "${log}" || true) skipped"
+  if ((status != 0)) || grep -q '\[FAIL\]' "${log}"; then
     echo "bench_smoke: FAILED check in ${name} (exit ${status})" >&2
     exit 1
   fi

@@ -77,8 +77,8 @@ MatchResult AbvEngine::classify(const net::HeaderBits& header) const {
       }
     }
   }
-  stats_.chunks_touched += surviving.count() * 5;
-  stats_.chunks_total += chunks * 5;
+  chunks_touched_.fetch_add(surviving.count() * 5, std::memory_order_relaxed);
+  chunks_total_.fetch_add(chunks * 5, std::memory_order_relaxed);
   return r;
 }
 

@@ -11,8 +11,9 @@
 //
 // Arenas are not thread-safe and not meant to outlive a call; the
 // convention "one arena per classify_batch invocation" keeps the batch
-// path re-entrant (safe under the thread pool's shard fan-out, where
-// several batches run concurrently on different arenas).
+// path re-entrant (safe under the sharded runtime's lanes, where one
+// engine classifies several packet slices concurrently on different
+// arenas).
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,22 @@
-// Run-to-completion shard workers: the fastclick/DPDK execution model
-// for the sharded runtime's batch fan-out.
+// Run-to-completion workers: the fastclick/DPDK execution model for
+// the sharded runtime's batch fan-out.
 //
-// The previous fan-out paid a generic thread-pool round trip per batch
-// — mutex-guarded task queue, one heap-allocated closure per shard,
-// wake, join — which on small machines cost more than the
-// classification itself and made throughput FALL as shards were added
-// (the BENCH_runtime.json inversion). This replaces it with long-lived
-// per-shard worker threads that each own a bounded lock-free SPSC ring
-// (util/spsc_ring.h) of plain-data work descriptors:
+// A generic thread-pool round trip per batch — mutex-guarded task
+// queue, one heap-allocated closure per task, wake, join — costs more
+// than the classification itself on small machines. Instead each
+// worker is a long-lived thread that owns a bounded lock-free SPSC ring
+// (util/spsc_ring.h) of plain-data work descriptors, and the
+// ShardedClassifier hands each worker one packet slice of a batch per
+// descriptor:
 //
-//   dispatcher --SPSC ring--> worker 0   (runs tasks to completion)
-//              --SPSC ring--> worker 1
+//   dispatcher --SPSC ring--> worker 0   (walks lane 1's slice)
+//              --SPSC ring--> worker 1   (walks lane 2's slice)
 //              ...
 //
-// * Descriptors are POD (function pointer + context + index): no
+// * Descriptors are POD (function pointer + context + lane index): no
 //   futures, no std::function, no allocation on the hot path.
 // * A stack-owned Completion counts outstanding descriptors; the
-//   dispatcher merges per-worker results itself once it hits zero.
+//   dispatcher walks its own slice (lane 0) and then waits for zero.
 // * Wait policy: kBlock (default) parks idle workers on a per-worker
 //   condvar after a short spin and parks the dispatcher on a shared
 //   completion condvar — right for servers sharing cores (the epoll
@@ -64,7 +64,8 @@ class ShardWorkerPool {
     std::size_t ring_capacity = 64;
   };
 
-  /// A batch descriptor: run fn(ctx, index) on the worker thread.
+  /// A batch descriptor: run fn(ctx, index) on the worker thread. The
+  /// classifier passes the lane whose packet slice the worker walks.
   using TaskFn = void (*)(void* ctx, std::size_t index);
 
   /// Stack-owned per-batch completion tracker. One dispatcher arms it
@@ -108,7 +109,7 @@ class ShardWorkerPool {
                 Completion& done);
 
   /// Blocks (per wait policy) until every descriptor armed on `done`
-  /// has run. Runs no shard work itself: the dispatcher's own share of
+  /// has run. Runs no batch work itself: the dispatcher's own share of
   /// the batch should be executed between dispatch() and wait().
   void wait(Completion& done);
 

@@ -1,10 +1,11 @@
 #include "runtime/sharded_classifier.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "engines/common/factory.h"
 #include "engines/common/scratch.h"
@@ -32,22 +33,14 @@ std::size_t effective_shards(const ShardedConfig& cfg, std::size_t rules) {
   return clamped_shards(requested, rules);
 }
 
-/// One core budget → one worker crew: `lanes` ways of parallelism
-/// across shards with the dispatching caller as lane 0, so the crew
-/// holds lanes - 1 threads. An explicit `threads` wins (clamped to the
-/// shard count — more lanes than shards could never run); otherwise
-/// lanes = min(shards, core_budget - reserved_cores), never below one,
-/// so a 1-core box gets a fully inline serial fan-out.
+/// One core budget → one worker crew: `lanes` ways of packet
+/// parallelism with the dispatching caller as lane 0, so the crew holds
+/// lanes - 1 threads. lanes = min(shards, core_budget - reserved_cores),
+/// never below one, so a 1-core box walks every batch inline.
 ShardWorkerPool::Options worker_options(const ShardedConfig& cfg,
                                         std::size_t shards) {
-  if (shards == 0) shards = 1;
-  std::size_t lanes = cfg.threads != 0
-                          ? (cfg.threads < shards ? cfg.threads : shards)
-                          : util::parallel_lanes(shards, cfg.core_budget,
-                                                 cfg.reserved_cores);
-  if (lanes == 0) lanes = 1;
   ShardWorkerPool::Options opts;
-  opts.workers = lanes - 1;
+  opts.workers = util::parallel_lanes(shards, cfg.core_budget, cfg.reserved_cores) - 1;
   opts.wait = cfg.wait_policy;
   opts.pin = cfg.pin_workers;
   return opts;
@@ -156,66 +149,91 @@ void ShardedClassifier::record_shard_fault(const Shard& shard,
 }
 
 MatchResult ShardedClassifier::classify(const net::HeaderBits& header) const {
-  // A batch of one: the same cache probe, fan-out, fault containment
-  // and merge as classify_batch, with the multi-match vector filled.
+  // A batch of one: the same cache probe, band walk and fault
+  // containment as classify_batch, with the multi-match vector filled.
   MatchResult out;
   classify_batch({&header, 1}, {&out, 1}, engines::BatchOptions{.want_multi = true});
   return out;
 }
 
-void ShardedClassifier::merge(const ShardSet& snap, const FanScratch& scratch,
-                              std::span<MatchResult> results, bool want_multi) const {
-  const std::size_t total = snap.bases.back();
-  for (auto& r : results) r.reset_for(total, want_multi);
-  // Shard-major: each produced buffer streams through once.
-  for (const std::size_t s : scratch.eligible) {
-    // A faulted shard produced nothing this batch (and a stale buffer
-    // from an earlier batch must not leak in).
-    if (scratch.produced[s] == 0) continue;
-    const std::vector<MatchResult>& buf = scratch.local[s];
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const MatchResult& r = buf[i];
-      MatchResult& out = results[i];
-      if (r.has_match()) {
-        const std::size_t global = snap.bases[s] + r.best;
-        if (global < out.best) out.best = global;
-      }
-      if (!want_multi) continue;
-      for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
-           b = r.multi.next_set(b + 1)) {
-        out.multi.set(snap.bases[s] + b);
-      }
-    }
-  }
-}
-
-void ShardedClassifier::run_shard(const FanContext& ctx, std::size_t slot) const {
-  FanScratch& scratch = *ctx.scratch;
-  const std::size_t s = scratch.eligible[slot];
-  const Shard& shard = ctx.snap->shards[s];
-  std::vector<MatchResult>& buf = scratch.local[s];
-  if (buf.size() < ctx.headers.size()) buf.resize(ctx.headers.size());
-  const std::span<MatchResult> out(buf.data(), ctx.headers.size());
+bool ShardedClassifier::run_band(const Shard& shard,
+                                 std::span<const net::HeaderBits> headers,
+                                 std::span<MatchResult> out,
+                                 const engines::BatchOptions& opts) const {
   const auto start = std::chrono::steady_clock::now();
   bool good = true;
   try {
-    shard.engine->classify_batch(ctx.headers, out, ctx.opts);
+    shard.engine->classify_batch(headers, out, opts);
   } catch (...) {
     good = false;
   }
   if (good) good = validate_results(out, shard.engine->rule_count());
   if (!good) {
-    record_shard_fault(shard, ctx.headers.size());
-    return;  // produced[s] stays 0: merge skips this shard
+    record_shard_fault(shard, headers.size());
+    return false;
   }
   shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
   stats_.record_shard_batch(shard.id, elapsed_ns(start));
-  scratch.produced[s] = 1;
+  return true;
 }
 
-void ShardedClassifier::run_shard_entry(void* ctx, std::size_t slot) {
-  const auto* c = static_cast<const FanContext*>(ctx);
-  c->self->run_shard(*c, slot);
+void ShardedClassifier::walk_lane(const FanContext& ctx, std::size_t lane) const {
+  const ShardSet& snap = *ctx.snap;
+  const std::size_t n = ctx.headers.size();
+  const std::size_t lo = n * lane / ctx.lanes;
+  const std::size_t len = n * (lane + 1) / ctx.lanes - lo;
+  const std::span<const net::HeaderBits> headers = ctx.headers.subspan(lo, len);
+  const std::span<MatchResult> results = ctx.results.subspan(lo, len);
+  const std::vector<std::size_t>& eligible = ctx.scratch->eligible;
+  const bool want_multi = ctx.opts.want_multi;
+
+  // One band owning the whole priority space needs no rebase and no
+  // fold: classify straight into the caller's results.
+  if (snap.shards.size() == 1 && eligible.size() == 1) {
+    if (!run_band(snap.shards[0], headers, results, ctx.opts)) {
+      for (auto& r : results) r.reset_for(snap.bases.back(), want_multi);
+    }
+    return;
+  }
+
+  for (auto& r : results) r.reset_for(snap.bases.back(), want_multi);
+  LaneScratch& ls = ctx.scratch->lanes[lane];
+  ls.pending.resize(len);
+  std::iota(ls.pending.begin(), ls.pending.end(), std::size_t{0});
+  // Bands ascend, and band s owns strictly higher priorities than band
+  // s+1, so the first band to match a packet holds its winner. A
+  // best-only walk drops matched packets from the pending list and
+  // stops once it is empty: the top bands answer most traffic and the
+  // long tail of bands is never touched.
+  for (const std::size_t s : eligible) {
+    const std::size_t pending = ls.pending.size();
+    if (pending == 0) break;
+    std::span<const net::HeaderBits> in = headers;
+    if (pending < len) {
+      ls.headers.clear();
+      for (const std::size_t p : ls.pending) ls.headers.push_back(headers[p]);
+      in = ls.headers;
+    }
+    if (ls.band.size() < pending) ls.band.resize(pending);
+    const std::span<MatchResult> out(ls.band.data(), pending);
+    if (!run_band(snap.shards[s], in, out, ctx.opts)) continue;  // matched nothing
+
+    const std::size_t base = snap.bases[s];
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < pending; ++j) {
+      const MatchResult& r = out[j];
+      MatchResult& dst = results[ls.pending[j]];
+      if (r.has_match() && !dst.has_match()) dst.best = base + r.best;
+      if (want_multi) {
+        for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
+             b = r.multi.next_set(b + 1)) {
+          dst.multi.set(base + b);
+        }
+      }
+      if (want_multi || !r.has_match()) ls.pending[kept++] = ls.pending[j];
+    }
+    ls.pending.resize(kept);
+  }
 }
 
 void ShardedClassifier::fan_out(const ShardSet& snap,
@@ -223,7 +241,7 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
                                 std::span<MatchResult> results,
                                 const engines::BatchOptions& opts,
                                 FanScratch& scratch) const {
-  // Only shards that can actually contribute take part: empty bands
+  // Only bands that can actually contribute take part: empty bands
   // have nothing to match and quarantined shards are out of service.
   std::vector<std::size_t>& eligible = scratch.eligible;
   eligible.clear();
@@ -237,92 +255,33 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
     }
     eligible.push_back(s);
   }
-  if (eligible.empty()) {
-    for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
-    return;
-  }
 
-  // One shard owning the whole priority space needs no rebase and no
-  // merge: classify straight into the caller's results on this thread.
-  if (eligible.size() == 1 && snap.shards.size() == 1) {
-    const Shard& shard = snap.shards[0];
-    const auto start = std::chrono::steady_clock::now();
-    bool good = true;
-    try {
-      shard.engine->classify_batch(headers, results, opts);
-    } catch (...) {
-      good = false;
-    }
-    if (good) good = validate_results(results, shard.engine->rule_count());
-    if (!good) {
-      record_shard_fault(shard, headers.size());
-      for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
-      return;
-    }
-    shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
-    stats_.record_shard_batch(shard.id, elapsed_ns(start));
-    return;
-  }
-
-  if (scratch.local.size() < snap.shards.size()) {
-    scratch.local.resize(snap.shards.size());
-  }
-  scratch.produced.assign(snap.shards.size(), 0);
-
+  // Lane 0 is the dispatching caller itself: it hands lanes 1..L-1
+  // their slices first, walks its own inline, then waits —
+  // run-to-completion, no per-task futures, no hand-off at all when
+  // only one lane exists. The caller's RCU pin (held across this call)
+  // keeps `snap` and the shard engines alive for the workers.
   FanContext ctx;
   ctx.self = this;
   ctx.snap = &snap;
   ctx.headers = headers;
+  ctx.results = results;
   ctx.opts = opts;
   ctx.scratch = &scratch;
-
-  // Round-robin eligible shards across lanes. Lane 0 is the
-  // dispatching caller itself: it hands lanes 1..L-1 their descriptors
-  // first, runs its own share inline, then waits — run-to-completion,
-  // no per-task futures, no hand-off at all when only one lane exists.
-  // The caller's RCU pin (held across this call) keeps `snap` and the
-  // shard engines alive for the workers.
-  const std::size_t lanes = workers_.worker_count() + 1;
-  if (lanes == 1 || eligible.size() == 1) {
-    if (!opts.want_multi && eligible.size() > 1) {
-      // Priority-ordered serial walk with band early exit: eligible is
-      // ascending and band s owns strictly higher priorities (smaller
-      // global indices) than band s+1, so once every packet in the
-      // batch has matched, the remaining bands cannot change any
-      // answer — merge() already skips their unproduced buffers. This
-      // is what makes wide banding pay at large N: the top bands
-      // answer most traffic and the long tail is never touched.
-      std::vector<unsigned char>& matched = scratch.matched;
-      matched.assign(headers.size(), 0);
-      std::size_t remaining = headers.size();
-      for (std::size_t i = 0; i < eligible.size() && remaining > 0; ++i) {
-        run_shard(ctx, i);
-        const std::size_t s = eligible[i];
-        if (scratch.produced[s] == 0) continue;  // faulted: matched nothing
-        const std::vector<MatchResult>& buf = scratch.local[s];
-        for (std::size_t p = 0; p < headers.size(); ++p) {
-          if (matched[p] == 0 && buf[p].has_match()) {
-            matched[p] = 1;
-            --remaining;
-          }
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < eligible.size(); ++i) run_shard(ctx, i);
-    }
-  } else {
-    ShardWorkerPool::Completion done;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      const std::size_t lane = i % lanes;
-      if (lane != 0) {
-        workers_.dispatch(lane - 1, &ShardedClassifier::run_shard_entry, &ctx, i,
-                          done);
-      }
-    }
-    for (std::size_t i = 0; i < eligible.size(); i += lanes) run_shard(ctx, i);
-    workers_.wait(done);
+  ctx.lanes = std::min(workers_.worker_count() + 1, headers.size());
+  if (scratch.lanes.size() < ctx.lanes) scratch.lanes.resize(ctx.lanes);
+  ShardWorkerPool::Completion done;
+  for (std::size_t lane = 1; lane < ctx.lanes; ++lane) {
+    workers_.dispatch(
+        lane - 1,
+        [](void* c, std::size_t l) {
+          const auto* fan = static_cast<const FanContext*>(c);
+          fan->self->walk_lane(*fan, l);
+        },
+        &ctx, lane, done);
   }
-  merge(snap, scratch, results, opts.want_multi);
+  walk_lane(ctx, 0);
+  workers_.wait(done);
 }
 
 void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
@@ -333,7 +292,7 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
   }
   if (headers.empty()) return;
 
-  // All per-batch state (eligible set, per-shard buffers, miss
+  // All per-batch state (eligible set, per-lane buffers, miss
   // compaction) lives in one pooled scratch: zero allocation per batch
   // in steady state, re-entrant because each in-flight call borrows
   // its own entry.

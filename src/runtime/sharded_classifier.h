@@ -4,18 +4,19 @@
 //
 // The ruleset is partitioned into S contiguous priority bands; band s
 // becomes an independent shard engine (any spec the factory accepts, so
-// a shard is "one pipeline" of whichever architecture you pick). A
-// batch of packed headers is classified by every shard — spread across
-// long-lived run-to-completion shard workers fed over bounded SPSC
-// rings (runtime/shard_workers.h), with the dispatching caller running
-// its own share inline as lane 0 — and the per-shard results are
-// merged back by GLOBAL priority: the winning rule is the matching
-// shard-local winner with the smallest global index, and the
-// multi-match vector is the union of the shard vectors rebased to
-// global rule indices. Lane count derives from one core budget
-// (threads/core_budget/reserved_cores below); a budget of one core
-// collapses the whole fan-out to an inline serial loop with no
-// hand-off at all.
+// a shard is "one pipeline" of whichever architecture you pick). Like
+// the paper's packed pipelines, parallel lanes take DIFFERENT packets:
+// a batch is split into up to L contiguous packet slices, slices 1..L-1
+// go to long-lived run-to-completion workers fed over bounded SPSC
+// rings (runtime/shard_workers.h) and the dispatching caller walks
+// slice 0 itself. Every lane walks the healthy bands in priority order
+// over its own slice, classifying only the packets no earlier band has
+// matched (best-only) or every packet (multi-match): the first band to
+// match wins, and the multi-match vector is the union of the band
+// vectors rebased to global rule indices. Bands exist for per-band
+// width caps and fault domains, not for parallelism. Lane count derives
+// from one core budget (core_budget/reserved_cores below); a budget of
+// one core runs the whole walk inline with no hand-off at all.
 //
 // Concurrency contract (lock-free reads, RCU writes): classify() and
 // classify_batch() may be called from any number of threads at any
@@ -74,7 +75,9 @@ namespace rfipc::runtime {
 
 /// What to do about a shard that keeps faulting.
 struct FailurePolicy {
-  /// Consecutive faults before a shard is quarantined (min 1).
+  /// Consecutive faults before a shard is quarantined (min 1). A fault
+  /// is one failed band call, and every lane makes its own call per
+  /// band, so one bad batch split over L lanes can count up to L.
   std::size_t quarantine_after = 4;
   /// Rebuild quarantined shards in the background and reinstate them.
   bool rebuild = true;
@@ -101,14 +104,11 @@ struct ShardedConfig {
   std::size_t max_band_rules = 0;
   /// Factory spec every shard engine is built from.
   std::string engine_spec = "stridebv:4";
-  /// Parallel lanes across shards, the dispatching caller included —
-  /// so `threads` lanes spawn `threads - 1` run-to-completion shard
-  /// workers. 0 derives lanes from the core budget below; 1 forces
-  /// fully inline (serial) fan-out with no worker threads at all.
-  std::size_t threads = 0;
   /// Total cores this process may spend; 0 = util::allowed_cpu_count().
-  /// Shard workers get what `reserved_cores` leaves over, clamped so a
-  /// starved budget degrades to serial instead of oversubscribing.
+  /// Lanes (the dispatching caller included) are min(shards,
+  /// core_budget - reserved_cores), clamped to at least one so a
+  /// starved budget degrades to an inline walk instead of
+  /// oversubscribing; lanes - 1 run-to-completion workers are started.
   std::size_t core_budget = 0;
   /// Cores already spoken for by co-resident threads (epoll reactor,
   /// update waiter, capture threads, ...). rfipcd passes
@@ -235,52 +235,62 @@ class ShardedClassifier final : public engines::ClassifierEngine {
     bool dirty = false;
   };
 
-  /// Dispatcher-side per-batch state, pooled via borrow_scratch() so
-  /// the fan-out allocates nothing in steady state (buffers keep their
-  /// capacity across batches; see DESIGN.md "Execution model").
+  /// One lane's reusable buffers for walking its packet slice. Aligned
+  /// to a cache line: a lane rewrites its vectors' sizes on every band,
+  /// and neighbouring lanes run on other cores.
+  struct alignas(64) LaneScratch {
+    /// Slice offsets no band has matched yet (best-only) or every
+    /// slice offset (multi-match).
+    std::vector<std::size_t> pending;
+    /// The pending packets' headers, gathered once the list shrinks.
+    std::vector<net::HeaderBits> headers;
+    /// The current band's results for the pending packets.
+    std::vector<engines::MatchResult> band;
+  };
+
+  /// Per-batch state, pooled via borrow_scratch() so the fan-out
+  /// allocates nothing in steady state (buffers keep their capacity
+  /// across batches; see DESIGN.md "Execution model").
   struct FanScratch {
+    /// Healthy non-empty bands, ascending (= priority order).
     std::vector<std::size_t> eligible;
-    /// Per-shard result buffers, indexed by shard slot. Grown lazily
-    /// and never shrunk; `produced[s]` marks the buffers the CURRENT
-    /// batch filled (a stale buffer from an earlier batch or a faulted
-    /// shard must not reach merge()).
-    std::vector<std::vector<engines::MatchResult>> local;
-    std::vector<unsigned char> produced;
-    /// Serial best-only walk: which packets already matched (the
-    /// remaining lower-priority bands cannot improve them).
-    std::vector<unsigned char> matched;
+    /// One entry per lane, indexed by lane.
+    std::vector<LaneScratch> lanes;
     /// Flow-cache miss sub-batch results.
     std::vector<engines::MatchResult> miss;
     /// Flow-cache miss compaction (headers + caller indices).
     engines::ScratchArena arena;
   };
 
-  /// What a shard worker needs to run one eligible shard of one batch:
-  /// plain data, stack-owned by the dispatcher for the batch's
-  /// duration (the dispatcher's RCU pin keeps `snap` alive).
+  /// What a lane needs to walk its slice of one batch: plain data,
+  /// stack-owned by the dispatcher for the batch's duration (the
+  /// dispatcher's RCU pin keeps `snap` alive).
   struct FanContext {
     const ShardedClassifier* self = nullptr;
     const ShardSet* snap = nullptr;
     std::span<const net::HeaderBits> headers;
+    std::span<engines::MatchResult> results;
     engines::BatchOptions opts;
     FanScratch* scratch = nullptr;
+    std::size_t lanes = 1;
   };
 
   static std::size_t owning_shard(const std::vector<std::size_t>& bases, std::size_t g);
 
   // Reader plane.
-  /// Fans `headers` out to every healthy shard of `snap` — across the
-  /// run-to-completion shard workers when lanes > 1, inline otherwise
-  /// — and merges by global priority into `results`. No stats.
+  /// Splits `headers` into packet slices, one per lane, and walks them
+  /// against `snap` — slices 1..L-1 on the shard workers, slice 0 on
+  /// the calling thread. No batch stats.
   void fan_out(const ShardSet& snap, std::span<const net::HeaderBits> headers,
                std::span<engines::MatchResult> results,
                const engines::BatchOptions& opts, FanScratch& scratch) const;
-  /// Classifies eligible shard slot `slot` into its scratch buffer.
-  void run_shard(const FanContext& ctx, std::size_t slot) const;
-  /// ShardWorkerPool task trampoline: ctx is a FanContext.
-  static void run_shard_entry(void* ctx, std::size_t slot);
-  void merge(const ShardSet& snap, const FanScratch& scratch,
-             std::span<engines::MatchResult> results, bool want_multi) const;
+  /// Walks the eligible bands in priority order over lane `lane`'s slice.
+  void walk_lane(const FanContext& ctx, std::size_t lane) const;
+  /// One band call with fault containment: false (fault recorded) when
+  /// the engine threw or returned a corrupted result.
+  bool run_band(const Shard& shard, std::span<const net::HeaderBits> headers,
+                std::span<engines::MatchResult> out,
+                const engines::BatchOptions& opts) const;
   std::unique_ptr<FanScratch> borrow_scratch() const;
   void return_scratch(std::unique_ptr<FanScratch> scratch) const;
   bool validate_results(std::span<const engines::MatchResult> results,
@@ -299,9 +309,9 @@ class ShardedClassifier final : public engines::ClassifierEngine {
 
   ShardedConfig config_;
   mutable RuntimeStats stats_;
-  /// Long-lived run-to-completion shard workers fed over SPSC rings;
-  /// holds `lanes - 1` threads (the dispatching caller is lane 0), so
-  /// it is empty when the core budget only affords serial fan-out.
+  /// Long-lived run-to-completion workers fed over SPSC rings; holds
+  /// `lanes - 1` threads (the dispatching caller is lane 0), so it is
+  /// empty when the core budget only affords an inline walk.
   mutable ShardWorkerPool workers_;
   /// Free list of pooled dispatcher scratch; one entry is borrowed per
   /// in-flight classify_batch and returned with capacity intact.

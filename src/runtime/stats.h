@@ -33,7 +33,9 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// Per-shard latency digest inside a snapshot.
+/// Per-shard latency digest inside a snapshot. One sample is one band
+/// call: every lane calls each band it reaches on its own packet slice,
+/// so a batch split over L lanes records up to L samples per band.
 struct ShardLatency {
   std::uint64_t batches = 0;
   std::uint64_t p50_ns = 0;
@@ -55,7 +57,7 @@ struct ShardHealthDigest {
 /// the ShardedClassifier from its ShardWorkerPool; empty when the core
 /// budget made the fan-out serial).
 struct WorkerDigest {
-  std::uint64_t tasks = 0;        // shard-batch descriptors executed
+  std::uint64_t tasks = 0;        // packet-slice descriptors executed
   std::uint64_t ring_stalls = 0;  // dispatches that found the ring full
   std::uint64_t parks = 0;        // idle sleeps (0 under busy-poll)
   std::size_t ring_depth = 0;     // descriptors queued at snapshot time
@@ -180,7 +182,7 @@ class RuntimeStats {
 
   /// One completed batch of `packets` headers, `matches` of which hit.
   void record_batch(std::uint64_t packets, std::uint64_t matches);
-  /// One shard finished its slice of a batch in `latency_ns`.
+  /// One lane's call into one shard's band finished in `latency_ns`.
   void record_shard_batch(std::size_t shard, std::uint64_t latency_ns);
   /// One rule insert/erase applied.
   void record_update();

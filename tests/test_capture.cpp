@@ -82,7 +82,6 @@ Reference reference_verdicts(const net::PcapFile& file,
 runtime::ShardedClassifier make_engine(const ruleset::RuleSet& rules) {
   runtime::ShardedConfig cfg;
   cfg.shards = 1;
-  cfg.threads = 1;
   return runtime::ShardedClassifier(rules, cfg);
 }
 

@@ -136,6 +136,7 @@ TEST(FaultContainment, CorruptedResultsNeverEscape) {
   cfg.engine_spec = "faulty(linear):p=0.5,mode=corrupt,seed=11";
   cfg.failure.quarantine_after = 1000;  // keep the faulty shards serving
   cfg.failure.rebuild = false;
+  cfg.core_budget = 4;  // 3 lanes: workers see corruption too
   const ShardedClassifier sc(rules, cfg);
 
   net::FiveTuple t;

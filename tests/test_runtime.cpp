@@ -188,8 +188,11 @@ TEST(ShardedClassifier, StatsCountPacketsBatchesAndMatches) {
   EXPECT_EQ(snap.batches, 2u);
   EXPECT_EQ(snap.matches, 128u);  // default rule catches everything
   ASSERT_EQ(snap.shards.size(), 2u);
+  // One latency sample per band per lane: a multi-match walk calls
+  // every band on every lane's slice.
+  const std::size_t lanes = snap.workers.size() + 1;
   for (const auto& sh : snap.shards) {
-    EXPECT_EQ(sh.batches, 2u);
+    EXPECT_EQ(sh.batches, 2u * lanes);
     EXPECT_LE(sh.p50_ns, sh.p99_ns);
     EXPECT_GT(sh.p99_ns, 0u);
   }
@@ -199,40 +202,75 @@ TEST(ShardedClassifier, StatsCountPacketsBatchesAndMatches) {
 }
 
 // Regression for the scaling inversion: shards > cores must degrade to
-// the inline serial fan-out (or few lanes), never oversubscribe, and
-// stay exactly correct in every lane configuration.
+// an inline walk (or few lanes), never oversubscribe, and stay exactly
+// correct in every lane configuration.
 TEST(ShardedClassifier, ShardsExceedingCoreBudgetStayCorrect) {
   const auto rules = ruleset::generate_firewall(128, 29);
   const engines::LinearSearchEngine golden(rules);
   const auto headers = packed_trace(rules, 200, 30);
-  // (core_budget, explicit threads) pairs: a 1-core box (fully inline),
-  // a 2-core box (dispatcher + 1 worker), and forced lane counts above
-  // and below the shard count.
-  struct Case {
-    std::size_t budget;
-    std::size_t threads;
-  };
-  for (const Case c : {Case{1, 0}, Case{2, 0}, Case{0, 1}, Case{0, 3}, Case{0, 16}}) {
+  // The default budget (the affinity mask), a 1-core box (fully
+  // inline), a 2-core box (dispatcher + 1 worker), and budgets below
+  // and above the shard count.
+  for (const std::size_t budget : {0u, 1u, 2u, 3u, 16u}) {
     ShardedConfig cfg;
     cfg.shards = 9;  // more shards than any small box has cores
-    cfg.core_budget = c.budget;
-    cfg.threads = c.threads;
+    cfg.core_budget = budget;
     const ShardedClassifier sc(rules, cfg);
     std::vector<MatchResult> got(headers.size());
     sc.classify_batch(headers, got);
     sc.classify_batch(headers, got);  // pooled-scratch reuse round
     for (std::size_t i = 0; i < headers.size(); ++i) {
       ASSERT_EQ(got[i].best, golden.classify(headers[i]).best)
-          << "budget=" << c.budget << " threads=" << c.threads << " packet " << i;
+          << "budget=" << budget << " packet " << i;
     }
   }
+}
+
+// Packet-sliced lanes against the golden scan: batches smaller than the
+// lane count, batches that do not divide by it, best-only and
+// multi-match. The ruleset is its first half repeated, so every packet
+// that matches an upper band also matches a lower one and only the
+// first band to match may win.
+TEST(ShardedClassifier, PacketSlicedLanesMatchGolden) {
+  const auto half = ruleset::generate_firewall(96, 37);
+  ruleset::RuleSet rules = half;
+  for (std::size_t i = 0; i < half.size(); ++i) rules.add(half[i]);
+  const engines::LinearSearchEngine golden(rules);
+  const auto headers = packed_trace(rules, 512, 38);
+  ShardedConfig cfg;
+  cfg.shards = 4;
+  cfg.core_budget = 4;
+  const ShardedClassifier sc(rules, cfg);
+  ASSERT_EQ(sc.stats_snapshot().workers.size(), 3u);
+
+  for (const bool want_multi : {false, true}) {
+    for (const std::size_t batch : {1u, 3u, 5u, 257u, 512u}) {
+      std::vector<MatchResult> got(batch);
+      for (std::size_t off = 0; off + batch <= headers.size(); off += batch) {
+        sc.classify_batch({headers.data() + off, batch}, got,
+                          engines::BatchOptions{.want_multi = want_multi});
+        for (std::size_t i = 0; i < batch; ++i) {
+          const auto want = golden.classify(headers[off + i]);
+          ASSERT_EQ(got[i].best, want.best)
+              << "multi=" << want_multi << " batch=" << batch << " packet " << off + i;
+          if (want_multi) {
+            ASSERT_EQ(got[i].multi, want.multi)
+                << "batch=" << batch << " packet " << off + i;
+          }
+        }
+      }
+    }
+  }
+  std::uint64_t worker_tasks = 0;
+  for (const auto& w : sc.stats_snapshot().workers) worker_tasks += w.tasks;
+  EXPECT_GT(worker_tasks, 0u);
 }
 
 TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   const auto rules = ruleset::generate_firewall(64, 41);
   ShardedConfig cfg;
   cfg.shards = 4;
-  cfg.threads = 3;  // dispatcher lane + 2 workers
+  cfg.core_budget = 3;  // dispatcher lane + 2 workers
   const ShardedClassifier sc(rules, cfg);
   const auto headers = packed_trace(rules, 256, 42);
   std::vector<MatchResult> out(headers.size());
@@ -245,7 +283,7 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
     worker_tasks += w.tasks;
     EXPECT_EQ(w.ring_depth, 0u);  // drained between batches
   }
-  // 4 shards round-robined over 3 lanes: lanes 1 and 2 carry work.
+  // 256-packet batches sliced over 3 lanes: lanes 1 and 2 carry work.
   EXPECT_GT(worker_tasks, 0u);
   EXPECT_NE(snap.to_json().find("\"workers\""), std::string::npos);
   EXPECT_NE(snap.to_string().find("worker0"), std::string::npos);
@@ -257,7 +295,7 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   // A 1-lane classifier reports no worker digests.
   ShardedConfig serial_cfg;
   serial_cfg.shards = 4;
-  serial_cfg.threads = 1;
+  serial_cfg.core_budget = 1;
   const ShardedClassifier serial(rules, serial_cfg);
   serial.classify_batch(headers, out);
   EXPECT_TRUE(serial.stats_snapshot().workers.empty());

@@ -206,15 +206,15 @@ TEST(RuntimeConcurrent, MultipleProducersSerializeThroughTheQueue) {
 }
 
 // The same prefix-consistency invariant, but with the fan-out FORCED
-// through the run-to-completion workers (threads=4 overrides the core
-// budget, so even a 1-core CI box exercises the SPSC hand-off). Under
-// TSan this is the dispatcher/worker/RCU interleaving stress: workers
-// read the snapshot the dispatcher pinned while the writer publishes
-// new ones.
+// through the run-to-completion workers (core_budget=4 overrides the
+// affinity mask, so even a 1-core CI box exercises the SPSC hand-off).
+// Under TSan this is the dispatcher/worker/RCU interleaving stress:
+// workers walk their packet slices against the snapshot the dispatcher
+// pinned while the writer publishes new ones.
 TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   ShardedConfig cfg;
   cfg.shards = 3;
-  cfg.threads = 4;  // dispatcher lane + 3 ring-fed workers
+  cfg.core_budget = 4;  // min(3 shards, 4 cores): dispatcher lane + 2 workers
   cfg.engine_spec = "linear";
   ShardedClassifier sc(base_rules(), cfg);
 
@@ -228,8 +228,8 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
     std::size_t prev_k = 0;
     bool descending = false;
     while (!done.load(std::memory_order_acquire) && rep.valid) {
-      // Batches only: every call runs the worker fan-out (3 eligible
-      // shards > 1), and all 8 results must come from ONE snapshot.
+      // Batches only: 8 packets over 3 lanes give every worker a
+      // slice, and all 8 results must come from ONE snapshot.
       sc.classify_batch(batch_in, batch_out);
       const std::size_t k = check_result(batch_out[0], rep);
       for (std::size_t i = 1; i < batch_out.size() && rep.valid; ++i) {
@@ -264,9 +264,10 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
 
   EXPECT_TRUE(rep.valid) << rep.error;
   EXPECT_GT(rep.observations, 0u);
-  EXPECT_EQ(sc.stats_snapshot().faults, 0u);
-  // threads=4 clamps to the 3 shards: dispatcher lane + 2 workers.
-  ASSERT_EQ(sc.stats_snapshot().workers.size(), 2u);
+  const auto snap = sc.stats_snapshot();
+  EXPECT_EQ(snap.faults, 0u);
+  ASSERT_EQ(snap.workers.size(), 2u);
+  for (const auto& w : snap.workers) EXPECT_GT(w.tasks, 0u);
 }
 
 // Worker fan-out under shard QUARANTINE: every shard's engine throws on
@@ -276,7 +277,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
 TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   ShardedConfig cfg;
   cfg.shards = 3;
-  cfg.threads = 4;
+  cfg.core_budget = 4;
   cfg.engine_spec = "faulty(linear):p=1,mode=throw";
   cfg.failure.quarantine_after = 2;
   cfg.failure.rebuild = false;  // stay degraded: the worst case
@@ -309,6 +310,8 @@ TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   std::size_t quarantined = 0;
   for (const auto& h : snap.health) quarantined += h.quarantined ? 1 : 0;
   EXPECT_GT(quarantined, 0u);
+  ASSERT_EQ(snap.workers.size(), 2u);
+  for (const auto& w : snap.workers) EXPECT_GT(w.tasks, 0u);
 }
 
 /// Coalescing: async submits issued back-to-back may be folded into
